@@ -122,22 +122,21 @@ BENCHMARK(BM_WriterUnderScanner)
 
 // ---- Scan-heavy arm over the channel transport (PR 3) -----------------------
 //
-// The unbundling cost is per MESSAGE (§5.1): the blocking protocol pays
-// one ScanRange round trip per window, the streamed protocol pays one
+// The unbundling cost is per MESSAGE (§5.1): a shared scan pays one
 // kScanStream request per scan with chunked replies, and the fetch-ahead
-// transactional scan prefetches the next probe while the current window
-// is locked and validated. arg0: 1 = streamed/prefetching, 0 = blocking.
+// transactional scan rides one probe-mode stream. arg0 is always 1 (the
+// streamed arm), which keeps the names of the recorded results; the
+// per-window blocking arm (arg0 = 0) is on record in BENCH_PR8.json.
 
 constexpr int kChannelRows = 1500;
 
-std::unique_ptr<UnbundledDb> MakeChannelScanDb(bool streaming) {
+std::unique_ptr<UnbundledDb> MakeChannelScanDb() {
   UnbundledDbOptions options = DefaultDbOptions();
   options.transport = TransportKind::kChannel;
   options.channel.request_channel.min_delay_us = 50;
   options.channel.request_channel.max_delay_us = 150;
   options.channel.reply_channel.min_delay_us = 50;
   options.channel.reply_channel.max_delay_us = 150;
-  options.tc.scan_streaming = streaming;
   options.tc.scan_stream_chunk = 64;
   options.tc.fetch_ahead_batch = 32;
   auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
@@ -155,8 +154,7 @@ std::unique_ptr<UnbundledDb> MakeChannelScanDb(bool streaming) {
 }
 
 void BM_SharedScanChannel(benchmark::State& state) {
-  const bool streaming = state.range(0) == 1;
-  auto db = MakeChannelScanDb(streaming);
+  auto db = MakeChannelScanDb();
   const uint64_t msgs0 = db->channel(0)->op_messages();
   const uint64_t scan_msgs0 = db->channel(0)->scan_messages();
   uint64_t rows_returned = 0;
@@ -167,8 +165,7 @@ void BM_SharedScanChannel(benchmark::State& state) {
   }
   state.counters["rows/op"] = benchmark::Counter(
       static_cast<double>(rows_returned), benchmark::Counter::kAvgIterations);
-  // Blocking mode: ~rows/128 ScanRange request messages per scan.
-  // Streamed mode: 1 scan request message per scan.
+  // 1 scan request message per scan.
   state.counters["scan_req_msgs/op"] = benchmark::Counter(
       static_cast<double>((db->channel(0)->op_messages() - msgs0) +
                           (db->channel(0)->scan_messages() - scan_msgs0)),
@@ -177,14 +174,12 @@ void BM_SharedScanChannel(benchmark::State& state) {
       db->tc()->stats().scan_restarts.load());
 }
 BENCHMARK(BM_SharedScanChannel)
-    ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_TxnScanChannel(benchmark::State& state) {
-  const bool streaming = state.range(0) == 1;
-  auto db = MakeChannelScanDb(streaming);
+  auto db = MakeChannelScanDb();
   int i = 0;
   for (auto _ : state) {
     Txn txn(db->tc());
@@ -209,7 +204,6 @@ void BM_TxnScanChannel(benchmark::State& state) {
       db->channel(0)->scan_credit_messages());
 }
 BENCHMARK(BM_TxnScanChannel)
-    ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

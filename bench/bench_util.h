@@ -1,5 +1,5 @@
-// Shared helpers for the experiment benches (see DESIGN.md §3 and
-// EXPERIMENTS.md for the experiment index).
+// Shared helpers for the experiment benches (C1–C10, F1–F2; each bench
+// file's header names the paper section and claims it measures).
 #pragma once
 
 #include <benchmark/benchmark.h>

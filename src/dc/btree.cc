@@ -173,6 +173,20 @@ Status BTree::LocateLeaf(TableId table, Slice key, bool exclusive,
     } else {
       cur->latch.LockShared();
     }
+    // A root split publishes the new root while it still holds the old
+    // root's latch, so a page that is still the root once latched is the
+    // root of the whole tree; otherwise the descent restarts from the new
+    // one instead of landing in a subtree.
+    StatusOr<PageId> latched_root = GetRoot(table);
+    if (!latched_root.ok() || *latched_root != *root) {
+      if (cur_exclusive) {
+        cur->latch.UnlockExclusive();
+      } else {
+        cur->latch.UnlockShared();
+      }
+      pool_->Unpin(cur);
+      continue;
+    }
 
     for (;;) {
       if (cur->retired) {

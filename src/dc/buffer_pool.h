@@ -127,7 +127,7 @@ class BufferPool {
   void OnEndOfStableLog(TcId tc, Lsn eosl);
   void OnLowWaterMark(TcId tc, Lsn lwm);
 
-  /// LWM validity protocol (derived; see DESIGN.md §4.4): after any DC
+  /// LWM validity protocol (derived; README "Design notes"): after any DC
   /// state regression (crash-revert or TC-reset), a TC's low-water mark
   /// describes executions whose page effects may have been discarded, so
   /// folding it into abLSNs would wrongly mark un-reapplied operations

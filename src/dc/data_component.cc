@@ -71,6 +71,19 @@ DataComponent::~DataComponent() = default;
 
 Status DataComponent::Initialize() { return btree_->Bootstrap(); }
 
+void DataComponent::EndOp() {
+  // Only a crash waits for the drain, and it sets crashed_ before it
+  // checks active_ops_. A notifier that still reads crashed_ false
+  // decremented before that check (both atomics are seq_cst), so the
+  // waiter sees the drain without a wakeup. One that reads it true
+  // notifies under the waiter's mutex, so the wakeup cannot fall between
+  // the waiter's check and its sleep.
+  if (active_ops_.fetch_sub(1) == 1 && crashed_.load()) {
+    std::lock_guard<std::mutex> guard(quiesce_mu_);
+    quiesce_cv_.notify_all();
+  }
+}
+
 Status DataComponent::Recover() {
   // Phase 1 of unbundled recovery: restore well-formed search structures
   // from the DC log, before the TC sends any redo (§5.2.2).
@@ -135,9 +148,7 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
   active_ops_.fetch_add(1);
   struct OpGuard {
     DataComponent* dc;
-    ~OpGuard() {
-      if (dc->active_ops_.fetch_sub(1) == 1) dc->quiesce_cv_.notify_all();
-    }
+    ~OpGuard() { dc->EndOp(); }
   } guard{this};
 
   stats_.ops.fetch_add(1);
@@ -874,9 +885,7 @@ void DataComponent::ProduceScanChunks(
   active_ops_.fetch_add(1);
   struct OpGuard {
     DataComponent* dc;
-    ~OpGuard() {
-      if (dc->active_ops_.fetch_sub(1) == 1) dc->quiesce_cv_.notify_all();
-    }
+    ~OpGuard() { dc->EndOp(); }
   } guard{this};
 
   cursor->last_active_ms.store(SteadyNowMs());

@@ -339,6 +339,10 @@ class DataComponent : public DcService {
   /// the full redo-resend instead of trusting a stale prefix.
   std::atomic<bool> redo_state_current_{true};
 
+  /// Ends an operation counted in active_ops_, waking a crash that is
+  /// waiting for the count to drain.
+  void EndOp();
+
   std::atomic<bool> crashed_{false};
   std::atomic<int> active_ops_{0};
   std::mutex quiesce_mu_;

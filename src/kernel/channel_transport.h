@@ -1,21 +1,18 @@
 // ChannelTransport: the "cloud" binding of the TC:DC interface — a pair
-// of simulated message channels plus DC server threads and a TC-side
-// reply dispatcher. Message loss, duplication and reordering on either
-// channel exercise the §4.2 interaction contracts end to end.
+// of simulated message channels carrying the shared wire protocol
+// (kernel/dc_wire.h) between one TC and one DC: the TC-side wire client,
+// DC server threads serving requests through ServeDcMessage, and a reply
+// dispatcher. Message loss, duplication and reordering on either channel
+// exercise the §4.2 interaction contracts end to end.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "dc/data_component.h"
-#include "kernel/op_coalescer.h"
+#include "kernel/dc_wire.h"
 #include "net/sim_channel.h"
-#include "tc/dc_client.h"
 
 namespace untx {
 
@@ -23,45 +20,24 @@ struct ChannelTransportOptions {
   ChannelOptions request_channel;
   ChannelOptions reply_channel;
   int server_threads = 2;
-  /// Queued (pipelined) operations coalesce into one kOperationBatch
-  /// message; a queue reaching this size flushes immediately.
-  uint32_t max_batch_ops = 64;
-  CoalescePolicy coalesce_policy = CoalescePolicy::kAdaptive;
-  /// kFixedWindow: how long a queued op sits before the background
-  /// flusher pushes it out, for callers that forget an explicit flush.
-  uint32_t coalesce_window_us = 200;
-  /// kAdaptive: flush once no new op has been queued for this long.
-  uint32_t coalesce_idle_us = 25;
-  /// kAdaptive: hard latency target — the oldest queued op never waits
-  /// longer than this for the batch to fill.
-  uint32_t coalesce_max_delay_us = 250;
-
-  /// The shared-coalescer view of the knobs above.
-  CoalesceOptions coalesce() const {
-    CoalesceOptions c;
-    c.max_batch_ops = max_batch_ops;
-    c.policy = coalesce_policy;
-    c.window_us = coalesce_window_us;
-    c.idle_us = coalesce_idle_us;
-    c.max_delay_us = coalesce_max_delay_us;
-    return c;
-  }
+  /// Client-side kOperationBatch coalescing (shared with sockets).
+  CoalesceOptions coalesce;
 };
 
-/// Owns the channels and threads binding one TC to one DC.
-class ChannelTransport {
+/// Owns the channels and threads binding one TC to one DC; it IS the
+/// TC's client of that DC (a WireDcClient whose carrier is the request
+/// channel), so the per-binding wire counters are its own.
+class ChannelTransport : public WireDcClient {
  public:
   ChannelTransport(DataComponent* dc, ChannelTransportOptions options);
-  ~ChannelTransport();
-
-  DcClient* client() { return &client_; }
+  ~ChannelTransport() override;
 
   void Start();
   void Stop();
 
   /// Drops all in-flight requests (the DC crashed; its inbox dies with
   /// it). Replies already on the wire still arrive.
-  void OnDcCrash();
+  void OnDcCrash() { request_ch_.Clear(); }
 
   /// Points the server side at a different DC — hot-standby failover:
   /// the binding (channels, threads, stats) survives, the backend swaps.
@@ -70,24 +46,6 @@ class ChannelTransport {
   const SimChannel& request_channel() const { return request_ch_; }
   const SimChannel& reply_channel() const { return reply_ch_; }
 
-  /// Operation-carrying request messages sent (kOperationRequest +
-  /// kOperationBatch) — excludes control traffic, so msgs/txn is
-  /// comparable against ops/txn.
-  uint64_t op_messages() const { return op_messages_.load(); }
-  /// Operations those messages carried; batching makes this exceed
-  /// op_messages().
-  uint64_t ops_carried() const { return ops_carried_.load(); }
-  /// Scan-stream request messages sent — ONE per stream (attempt), where
-  /// the blocking protocol paid one request per window.
-  uint64_t scan_messages() const { return scan_messages_.load(); }
-  /// Chunk replies received and the rows they carried.
-  uint64_t scan_chunks() const { return scan_chunks_.load(); }
-  uint64_t scan_rows_carried() const { return scan_rows_carried_.load(); }
-  /// kScanCredit messages sent (flow-control replenish, validated-window
-  /// rewinds and close notices).
-  uint64_t scan_credit_messages() const {
-    return scan_credit_messages_.load();
-  }
   /// High-water mark of scan-chunk bytes resident in the reply channel —
   /// the memory a scan can pin there. Credited streams bound this by
   /// credit_chunks × chunk size no matter how large the scan; eager
@@ -97,51 +55,17 @@ class ChannelTransport {
   uint64_t max_queued_scan_bytes() const {
     return max_queued_scan_bytes_.load();
   }
-  /// Request messages carrying kPromoteVersion ops and the promote ops
-  /// they carried — a K-key versioned commit should cost
-  /// ceil(K / promote_batch_ops) messages, not K.
-  uint64_t promote_messages() const { return promote_messages_.load(); }
-  uint64_t promote_ops_carried() const {
-    return promote_ops_carried_.load();
-  }
-  /// Adaptive-coalescing flush reasons (diagnostics for tuning).
-  uint64_t coalesce_idle_flushes() const { return coalescer_.idle_flushes(); }
-  uint64_t coalesce_deadline_flushes() const {
-    return coalescer_.deadline_flushes();
-  }
+
+  /// The client's counters plus this channel's scan-reply residency.
+  void AddWireStats(WireTotals* totals) const;
 
   const ChannelTransportOptions& options() const { return options_; }
 
  private:
-  class Client : public DcClient {
-   public:
-    explicit Client(ChannelTransport* transport) : transport_(transport) {}
-    void SendOperation(const OperationRequest& req) override;
-    void SendControl(const ControlRequest& req) override;
-    void SendOperationBatch(
-        const std::vector<OperationRequest>& reqs) override;
-    void SendScanStream(const ScanStreamRequest& req) override;
-    void SendScanCredit(const ScanCreditRequest& req) override;
-    /// Coalesces queued ops bound for this DC into one channel message.
-    void QueueOperation(const OperationRequest& req) override;
-    void FlushOperations() override;
-    DcClient::OpReplyHandler op_handler() const { return op_handler_; }
-    DcClient::ControlReplyHandler control_handler() const {
-      return control_handler_;
-    }
-    DcClient::ScanChunkHandler scan_chunk_handler() const {
-      return scan_chunk_handler_;
-    }
-
-   private:
-    ChannelTransport* transport_;
-  };
-
   void ServerLoop();
   void DispatchLoop();
-  /// Sends one scan chunk on the reply channel with queued-byte
-  /// accounting (suppressed for a crashed DC).
-  void EmitChunk(const ScanStreamChunk& chunk);
+  /// Sends one reply on the reply channel, accounting scan-chunk bytes.
+  void Reply(MessageKind kind, const std::string& body);
 
   /// Atomic: server threads read it per message; Retarget (failover)
   /// swaps it while they run.
@@ -149,22 +73,11 @@ class ChannelTransport {
   ChannelTransportOptions options_;
   SimChannel request_ch_;
   SimChannel reply_ch_;
-  Client client_;
-  /// Client-side batch coalescing, shared with the socket transport.
-  OpCoalescer coalescer_;
   std::atomic<bool> stop_{false};
   std::vector<std::thread> servers_;
   std::thread dispatcher_;
-  std::atomic<uint64_t> op_messages_{0};
-  std::atomic<uint64_t> ops_carried_{0};
-  std::atomic<uint64_t> scan_messages_{0};
-  std::atomic<uint64_t> scan_chunks_{0};
-  std::atomic<uint64_t> scan_rows_carried_{0};
-  std::atomic<uint64_t> scan_credit_messages_{0};
   std::atomic<uint64_t> queued_scan_bytes_{0};
   std::atomic<uint64_t> max_queued_scan_bytes_{0};
-  std::atomic<uint64_t> promote_messages_{0};
-  std::atomic<uint64_t> promote_ops_carried_{0};
 };
 
 }  // namespace untx

@@ -36,19 +36,10 @@ class ChannelBoundTransport : public BoundTransport {
  public:
   ChannelBoundTransport(DataComponent* dc, ChannelTransportOptions options)
       : transport_(dc, options) {}
-  DcClient* client() override { return transport_.client(); }
+  DcClient* client() override { return &transport_; }
   ChannelTransport* channel() override { return &transport_; }
   void AddWireStats(WireTotals* totals) const override {
-    totals->request_messages += transport_.request_channel().sent();
-    totals->op_messages += transport_.op_messages();
-    totals->ops_carried += transport_.ops_carried();
-    totals->scan_messages += transport_.scan_messages();
-    totals->scan_rows_carried += transport_.scan_rows_carried();
-    totals->scan_credit_messages += transport_.scan_credit_messages();
-    totals->max_queued_scan_bytes = std::max(
-        totals->max_queued_scan_bytes, transport_.max_queued_scan_bytes());
-    totals->promote_messages += transport_.promote_messages();
-    totals->promote_ops_carried += transport_.promote_ops_carried();
+    transport_.AddWireStats(totals);
   }
   void Start() override { transport_.Start(); }
   void Stop() override { transport_.Stop(); }
@@ -189,7 +180,7 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::Open(ClusterOptions options) {
       cluster->socket_servers_.push_back(std::move(server));
     }
     SocketTransportOptions transport_options;
-    transport_options.coalesce = options.channel.coalesce();
+    transport_options.coalesce = options.channel.coalesce;
     socket_factory =
         MakeSocketTransportFactory(std::move(endpoints), transport_options);
     return socket_factory.get();

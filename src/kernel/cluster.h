@@ -41,22 +41,6 @@ class SocketServer;
 
 enum class TransportKind : uint8_t { kDirect = 0, kChannel = 1, kSocket = 2 };
 
-/// Wire-cost counters of one binding, summed by the Cluster::Total*
-/// rollups. Channel and socket bindings fill the same fields, so
-/// msgs/txn comparisons across transports are apples to apples; direct
-/// bindings contribute nothing (no wire).
-struct WireTotals {
-  uint64_t request_messages = 0;
-  uint64_t op_messages = 0;
-  uint64_t ops_carried = 0;
-  uint64_t scan_messages = 0;
-  uint64_t scan_rows_carried = 0;
-  uint64_t scan_credit_messages = 0;
-  uint64_t max_queued_scan_bytes = 0;  // merged with max(), not +
-  uint64_t promote_messages = 0;
-  uint64_t promote_ops_carried = 0;
-};
-
 /// One live TC↔DC binding produced by a TransportFactory. Owns whatever
 /// machinery sits behind the DcClient — nothing for a direct call path,
 /// channels plus server/dispatcher threads for the cloud path, a TCP
@@ -142,8 +126,8 @@ struct ClusterOptions {
   TransportKind transport = TransportKind::kDirect;
   /// Options for channel bindings (cluster-wide or per-TC).
   ChannelTransportOptions channel;
-  /// Per-DC overrides of `channel` — coalescing policy, batch caps and
-  /// fault knobs can differ per DC (a far DC warrants a larger window).
+  /// Per-DC overrides of `channel` — coalescing, batch caps and fault
+  /// knobs can differ per DC (a far DC warrants a longer flush delay).
   std::map<DcId, ChannelTransportOptions> channel_overrides;
   /// Options for socket bindings (TransportKind::kSocket). Client-side
   /// coalescing reuses `channel`'s coalesce knobs so channel-vs-socket
@@ -242,8 +226,8 @@ class Cluster {
   uint64_t TotalOpMessages() const;
   /// Operations those messages carried; batching makes ops > messages.
   uint64_t TotalOpsCarried() const;
-  /// Scan-stream request messages (one per stream attempt, vs one per
-  /// window on the blocking protocol) and the rows chunk replies carried.
+  /// Scan-stream request messages (one per stream attempt) and the rows
+  /// chunk replies carried.
   uint64_t TotalScanMessages() const;
   uint64_t TotalScanRowsCarried() const;
   /// Scan flow control: kScanCredit messages sent, and the largest

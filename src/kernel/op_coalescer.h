@@ -1,10 +1,8 @@
-// OpCoalescer: the client-side operation-coalescing queue shared by every
-// wire transport (ChannelTransport, SocketTransport). Queued (pipelined)
+// OpCoalescer: the client-side operation-coalescing queue of the wire
+// client (kernel/dc_wire.h) every carrier shares. Queued (pipelined)
 // operations bound for one DC fold into a single kOperationBatch message;
 // a background flusher bounds how long a queued op can wait when the
-// caller never awaits. Extracted so the channel and socket clients cannot
-// drift in batching behavior — msgs/txn comparisons across transports
-// measure the wire, not the queue.
+// caller never awaits.
 #pragma once
 
 #include <atomic>
@@ -20,29 +18,18 @@
 
 namespace untx {
 
-/// When the background flusher pushes a coalescing queue onto the wire.
-enum class CoalescePolicy : uint8_t {
-  /// Legacy: sleep a fixed coalesce_window_us after the queue becomes
-  /// non-empty, then flush — load-oblivious.
-  kFixedWindow = 0,
-  /// Flush when the submitters go quiescent (no new op for
-  /// coalesce_idle_us) or when the oldest queued op has waited
-  /// coalesce_max_delay_us (the latency target), whichever first. Under
-  /// load batches fill naturally; a lone op ships almost immediately.
-  kAdaptive = 1,
-};
-
+/// When the background flusher pushes a coalescing queue onto the wire:
+/// when the submitters go quiescent (no new op for idle_us) or when the
+/// oldest queued op has waited max_delay_us (the latency target),
+/// whichever comes first. Under load batches fill naturally; a lone op
+/// ships almost immediately.
 struct CoalesceOptions {
   /// A queue reaching this size flushes immediately.
   uint32_t max_batch_ops = 64;
-  CoalescePolicy policy = CoalescePolicy::kAdaptive;
-  /// kFixedWindow: how long a queued op sits before the background
-  /// flusher pushes it out, for callers that forget an explicit flush.
-  uint32_t window_us = 200;
-  /// kAdaptive: flush once no new op has been queued for this long.
+  /// Flush once no new op has been queued for this long.
   uint32_t idle_us = 25;
-  /// kAdaptive: hard latency target — the oldest queued op never waits
-  /// longer than this for the batch to fill.
+  /// Hard latency target — the oldest queued op never waits longer than
+  /// this for the batch to fill.
   uint32_t max_delay_us = 250;
 };
 
@@ -68,13 +55,13 @@ class OpCoalescer {
   void Flush();
   bool HasPending() const;
 
-  /// Adaptive-coalescing flush reasons (diagnostics for tuning).
+  /// Flush reasons (diagnostics for tuning).
   uint64_t idle_flushes() const { return idle_flushes_.load(); }
   uint64_t deadline_flushes() const { return deadline_flushes_.load(); }
 
  private:
   void FlushLoop();
-  /// Queue age snapshot for the adaptive flusher: false if empty.
+  /// Queue age snapshot for the flusher: false if empty.
   bool PendingAges(std::chrono::steady_clock::time_point* oldest,
                    std::chrono::steady_clock::time_point* newest) const;
 

@@ -2,7 +2,7 @@
 // and a DC ("in a cloud environment asynchronous messages might be
 // used", §4.2.1).
 //
-// Substitution note (DESIGN.md §2): stands in for a real datacenter
+// Substitution note (README "Design notes"): stands in for a real datacenter
 // network. Failure modes that matter to the interaction contracts are
 // modeled: per-message random delay (which yields out-of-order delivery),
 // message drop, and message duplication. The TC's resend daemon plus the

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "dc/dc_api.h"
+#include "kernel/dc_wire.h"
 #include "net/frame.h"
 
 namespace untx {
@@ -354,72 +355,25 @@ struct ServerImpl {
     }
   }
 
-  /// The socket analog of ChannelTransport::ServerLoop — same decode,
-  /// same crashed-reply suppression, but replies route to the arrival
-  /// session instead of a per-binding reply channel.
+  /// TC requests go to the shared ServeDcMessage (the same decode and
+  /// crashed-reply suppression the channel server threads run), with
+  /// replies routed to the arrival session; the server itself handles
+  /// only the replica-shipping kinds.
   void HandleFrame(const std::shared_ptr<Session>& s, MessageKind kind,
                    const std::string& wire_body) {
     Slice body(wire_body);
     // One consistent backend per frame (Retarget may swap it between
     // frames during a failover).
     DataComponent* dc = this->dc.load();
+    if (ServeDcMessage(
+            dc, kind, body,
+            [this, &s](MessageKind reply_kind, const std::string& out) {
+              Reply(s, reply_kind, out);
+            },
+            [this, &s](TcId tc) { NoteTc(s, tc); })) {
+      return;
+    }
     switch (kind) {
-      case MessageKind::kOperationRequest: {
-        OperationRequest req;
-        if (!OperationRequest::DecodeFrom(&body, &req)) return;
-        NoteTc(s, req.tc_id);
-        OperationReply reply = dc->Perform(req);
-        if (reply.status.IsCrashed()) return;
-        std::string out;
-        reply.EncodeTo(&out);
-        Reply(s, MessageKind::kOperationReply, out);
-        return;
-      }
-      case MessageKind::kOperationBatch: {
-        OperationBatch batch;
-        if (!OperationBatch::DecodeFrom(&body, &batch)) return;
-        if (!batch.ops.empty()) NoteTc(s, batch.ops.front().tc_id);
-        std::vector<OperationReply> replies = dc->PerformBatch(batch.ops);
-        OperationBatchReply batch_reply;
-        for (auto& reply : replies) {
-          if (reply.status.IsCrashed()) continue;
-          batch_reply.replies.push_back(std::move(reply));
-        }
-        if (batch_reply.replies.empty()) return;
-        std::string out;
-        batch_reply.EncodeTo(&out);
-        Reply(s, MessageKind::kOperationBatchReply, out);
-        return;
-      }
-      case MessageKind::kScanStreamRequest: {
-        ScanStreamRequest req;
-        if (!ScanStreamRequest::DecodeFrom(&body, &req)) return;
-        NoteTc(s, req.base.tc_id);
-        dc->PerformScanStream(req, [this, &s](const ScanStreamChunk& chunk) {
-          EmitChunk(s, chunk);
-        });
-        return;
-      }
-      case MessageKind::kScanCredit: {
-        ScanCreditRequest req;
-        if (!ScanCreditRequest::DecodeFrom(&body, &req)) return;
-        NoteTc(s, req.tc_id);
-        dc->ScanCredit(req, [this, &s](const ScanStreamChunk& chunk) {
-          EmitChunk(s, chunk);
-        });
-        return;
-      }
-      case MessageKind::kControlRequest: {
-        ControlRequest req;
-        if (!ControlRequest::DecodeFrom(&body, &req)) return;
-        NoteTc(s, req.tc_id);
-        ControlReply reply = dc->Control(req);
-        if (reply.status.IsCrashed()) return;
-        std::string out;
-        reply.EncodeTo(&out);
-        Reply(s, MessageKind::kControlReply, out);
-        return;
-      }
       case MessageKind::kReplicaSubscribe: {
         ReplicaSubscribeRequest req;
         if (!ReplicaSubscribeRequest::DecodeFrom(&body, &req)) return;
@@ -467,7 +421,7 @@ struct ServerImpl {
         return;
       }
       default:
-        // Reply kinds arriving at the server: a confused peer. Ignore.
+        // Reply kinds or undecodable requests: a confused peer. Ignore.
         return;
     }
   }
@@ -509,14 +463,6 @@ struct ServerImpl {
       }
       Reply(s, MessageKind::kReplicaEntries, out);
     }
-  }
-
-  void EmitChunk(const std::shared_ptr<Session>& s,
-                 const ScanStreamChunk& chunk) {
-    if (chunk.status.IsCrashed()) return;
-    std::string out;
-    chunk.EncodeTo(&out);
-    Reply(s, MessageKind::kScanStreamChunk, out);
   }
 
   /// Reactor-side teardown of one session: close the fd, drop it from

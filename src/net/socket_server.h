@@ -5,9 +5,9 @@
 // request frames are handed to the pool, and replies are routed back to
 // the session they arrived on.
 //
-// Crash semantics mirror ChannelTransport::ServerLoop: a reply from a
-// crashed DC is suppressed (the TC's resend machinery will retry after
-// RecoverDc). When a session closes — TC crash, network drop, or clean
+// TC requests are served by ServeDcMessage (kernel/dc_wire.h), the same
+// function behind the channel server threads: a reply from a crashed DC
+// is suppressed (the TC's resend machinery will retry after RecoverDc). When a session closes — TC crash, network drop, or clean
 // shutdown — the server evicts the DC-side scan cursors of the TCs that
 // session served (no other live session still serving them), exactly as
 // a TC reset would; the reply cache is kept for resend idempotence.

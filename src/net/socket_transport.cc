@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "net/frame.h"
+
 namespace untx {
 namespace internal {
 
@@ -533,136 +535,6 @@ void SocketReactor::WriteReady(SocketConnection* c) {
 
 }  // namespace internal
 
-// ---- SocketDcClient ----------------------------------------------------------
-
-SocketDcClient::SocketDcClient(
-    std::shared_ptr<internal::SocketConnection> conn,
-    const CoalesceOptions& coalesce)
-    : conn_(std::move(conn)),
-      coalescer_(coalesce,
-                 [this](const std::vector<OperationRequest>& batch) {
-                   SendOperationBatch(batch);
-                 }) {
-  conn_->set_frame_handler([this](uint8_t kind, const std::string& body) {
-    OnFrame(kind, body);
-  });
-}
-
-SocketDcClient::~SocketDcClient() { Stop(); }
-
-void SocketDcClient::Start() { coalescer_.Start(); }
-void SocketDcClient::Stop() { coalescer_.Stop(); }
-
-void SocketDcClient::SendFrame(uint8_t kind, const std::string& body) {
-  request_messages_.fetch_add(1);
-  if (!conn_->Send(EncodeFrame(kind, body))) {
-    dropped_sends_.fetch_add(1);
-  }
-}
-
-void SocketDcClient::SendOperation(const OperationRequest& req) {
-  std::string body;
-  req.EncodeTo(&body);
-  op_messages_.fetch_add(1);
-  ops_carried_.fetch_add(1);
-  SendFrame(static_cast<uint8_t>(MessageKind::kOperationRequest), body);
-}
-
-void SocketDcClient::SendOperationBatch(
-    const std::vector<OperationRequest>& reqs) {
-  if (reqs.empty()) return;
-  OperationBatch batch;
-  batch.ops = reqs;
-  std::string body;
-  batch.EncodeTo(&body);
-  op_messages_.fetch_add(1);
-  ops_carried_.fetch_add(reqs.size());
-  uint64_t promotes = 0;
-  for (const auto& req : reqs) {
-    if (req.op == OpType::kPromoteVersion) ++promotes;
-  }
-  if (promotes > 0) {
-    promote_messages_.fetch_add(1);
-    promote_ops_carried_.fetch_add(promotes);
-  }
-  SendFrame(static_cast<uint8_t>(MessageKind::kOperationBatch), body);
-}
-
-void SocketDcClient::SendControl(const ControlRequest& req) {
-  std::string body;
-  req.EncodeTo(&body);
-  SendFrame(static_cast<uint8_t>(MessageKind::kControlRequest), body);
-}
-
-void SocketDcClient::SendScanStream(const ScanStreamRequest& req) {
-  std::string body;
-  req.EncodeTo(&body);
-  scan_messages_.fetch_add(1);
-  SendFrame(static_cast<uint8_t>(MessageKind::kScanStreamRequest), body);
-}
-
-void SocketDcClient::SendScanCredit(const ScanCreditRequest& req) {
-  std::string body;
-  req.EncodeTo(&body);
-  scan_credit_messages_.fetch_add(1);
-  SendFrame(static_cast<uint8_t>(MessageKind::kScanCredit), body);
-}
-
-void SocketDcClient::QueueOperation(const OperationRequest& req) {
-  coalescer_.Queue(req);
-}
-
-void SocketDcClient::FlushOperations() { coalescer_.Flush(); }
-
-void SocketDcClient::OnFrame(uint8_t raw_kind, const std::string& body) {
-  Slice input(body);
-  switch (static_cast<MessageKind>(raw_kind)) {
-    case MessageKind::kOperationReply: {
-      OperationReply reply;
-      if (OperationReply::DecodeFrom(&input, &reply) && op_handler_) {
-        op_handler_(reply);
-      }
-      break;
-    }
-    case MessageKind::kOperationBatchReply: {
-      OperationBatchReply batch;
-      if (OperationBatchReply::DecodeFrom(&input, &batch) && op_handler_) {
-        for (const auto& reply : batch.replies) op_handler_(reply);
-      }
-      break;
-    }
-    case MessageKind::kScanStreamChunk: {
-      ScanStreamChunk chunk;
-      if (ScanStreamChunk::DecodeFrom(&input, &chunk)) {
-        scan_chunks_.fetch_add(1);
-        scan_rows_carried_.fetch_add(chunk.keys.size());
-        if (scan_chunk_handler_) scan_chunk_handler_(chunk);
-      }
-      break;
-    }
-    case MessageKind::kControlReply: {
-      ControlReply reply;
-      if (ControlReply::DecodeFrom(&input, &reply) && control_handler_) {
-        control_handler_(reply);
-      }
-      break;
-    }
-    default:
-      break;  // requests never arrive on the client side
-  }
-}
-
-void SocketDcClient::AddWireStats(WireTotals* totals) const {
-  totals->request_messages += request_messages_.load();
-  totals->op_messages += op_messages_.load();
-  totals->ops_carried += ops_carried_.load();
-  totals->scan_messages += scan_messages_.load();
-  totals->scan_rows_carried += scan_rows_carried_.load();
-  totals->scan_credit_messages += scan_credit_messages_.load();
-  totals->promote_messages += promote_messages_.load();
-  totals->promote_ops_carried += promote_ops_carried_.load();
-}
-
 // ---- SocketBoundTransport ----------------------------------------------------
 
 SocketBoundTransport::SocketBoundTransport(
@@ -671,8 +543,17 @@ SocketBoundTransport::SocketBoundTransport(
     const SocketTransportOptions& options)
     : reactor_(std::move(reactor)),
       conn_(std::move(conn)),
-      client_(conn_, options.coalesce),
-      connect_timeout_ms_(options.connect_timeout_ms) {}
+      // A send that finds no live connection is dropped; the TC's resend
+      // machinery re-issues it after the redial.
+      client_(options.coalesce,
+              [this](MessageKind kind, const std::string& body) {
+                conn_->Send(EncodeFrame(static_cast<uint8_t>(kind), body));
+              }),
+      connect_timeout_ms_(options.connect_timeout_ms) {
+  conn_->set_frame_handler([this](uint8_t kind, const std::string& body) {
+    client_.OnReply(static_cast<MessageKind>(kind), body);
+  });
+}
 
 SocketBoundTransport::~SocketBoundTransport() { Stop(); }
 
@@ -683,7 +564,7 @@ void SocketBoundTransport::AddWireStats(WireTotals* totals) const {
 }
 
 void SocketBoundTransport::Start() {
-  client_.Start();
+  client_.StartFlusher();
   reactor_->Register(conn_);
   // Give the first dial a beat so the TC's initial announcements are
   // not pointlessly dropped; a down DC just hands over to the redialer.
@@ -691,7 +572,7 @@ void SocketBoundTransport::Start() {
 }
 
 void SocketBoundTransport::Stop() {
-  client_.Stop();
+  client_.StopFlusher();
   reactor_->Deregister(conn_);
   // Deregister only QUEUES the teardown; the reactor thread may still be
   // mid-ReadReady dispatching into client_. Clearing the handler is the

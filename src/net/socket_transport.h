@@ -13,7 +13,6 @@
 // protocol; redundant redo is idempotent via abLSNs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -21,9 +20,7 @@
 #include <vector>
 
 #include "kernel/cluster.h"
-#include "kernel/op_coalescer.h"
-#include "net/frame.h"
-#include "tc/dc_client.h"
+#include "kernel/dc_wire.h"
 
 namespace untx {
 
@@ -53,51 +50,9 @@ class SocketReactor;
 class SocketConnection;
 }  // namespace internal
 
-/// DcClient over one TCP connection. Reply dispatch runs on the
-/// factory's reactor thread (the socket analog of ChannelTransport's
-/// DispatchLoop thread).
-class SocketDcClient : public DcClient {
- public:
-  SocketDcClient(std::shared_ptr<internal::SocketConnection> conn,
-                 const CoalesceOptions& coalesce);
-  ~SocketDcClient() override;
-
-  void SendOperation(const OperationRequest& req) override;
-  void SendControl(const ControlRequest& req) override;
-  void SendOperationBatch(const std::vector<OperationRequest>& reqs) override;
-  void SendScanStream(const ScanStreamRequest& req) override;
-  void SendScanCredit(const ScanCreditRequest& req) override;
-  void QueueOperation(const OperationRequest& req) override;
-  void FlushOperations() override;
-
-  void Start();
-  void Stop();
-
-  void AddWireStats(WireTotals* totals) const;
-  /// Frames that found no live connection and were dropped (recovered
-  /// by the TC's resend machinery after the redial).
-  uint64_t dropped_sends() const { return dropped_sends_.load(); }
-
- private:
-  void SendFrame(uint8_t kind, const std::string& body);
-  void OnFrame(uint8_t kind, const std::string& body);
-
-  std::shared_ptr<internal::SocketConnection> conn_;
-  OpCoalescer coalescer_;
-  std::atomic<uint64_t> request_messages_{0};
-  std::atomic<uint64_t> op_messages_{0};
-  std::atomic<uint64_t> ops_carried_{0};
-  std::atomic<uint64_t> scan_messages_{0};
-  std::atomic<uint64_t> scan_chunks_{0};
-  std::atomic<uint64_t> scan_rows_carried_{0};
-  std::atomic<uint64_t> scan_credit_messages_{0};
-  std::atomic<uint64_t> promote_messages_{0};
-  std::atomic<uint64_t> promote_ops_carried_{0};
-  std::atomic<uint64_t> dropped_sends_{0};
-};
-
 /// One (TC, DC) socket binding: a connection on the factory's shared
-/// reactor plus the coalescing client in front of it.
+/// reactor carrying the shared wire client (kernel/dc_wire.h). Replies
+/// dispatch on the reactor thread.
 class SocketBoundTransport : public BoundTransport {
  public:
   SocketBoundTransport(std::shared_ptr<internal::SocketReactor> reactor,
@@ -125,7 +80,7 @@ class SocketBoundTransport : public BoundTransport {
  private:
   std::shared_ptr<internal::SocketReactor> reactor_;
   std::shared_ptr<internal::SocketConnection> conn_;
-  SocketDcClient client_;
+  WireDcClient client_;
   uint32_t connect_timeout_ms_;
 };
 

@@ -1,6 +1,6 @@
 // StableStore: the simulated durable page device beneath one DC.
 //
-// Substitution note (see DESIGN.md §2): the paper assumes conventional
+// Substitution note (README "Design notes"): the paper assumes conventional
 // disks. We model a disk as an in-memory page map with write-through
 // durability: a page write is durable once Write() returns. The volatile
 // layer of the system is the DC's buffer pool, not the store, so a DC

@@ -2,9 +2,9 @@
 // in a cloud environment asynchronous messages might be used ... while
 // signals and shared variables might be more suited for a multi-core
 // design"). Two implementations:
-//   * DirectDcClient (here)    — shared-memory call path, multi-core style;
-//   * ChannelDcClient (kernel) — SimChannel pair with server/dispatcher
-//     threads, cloud style.
+//   * DirectDcClient (here)  — shared-memory call path, multi-core style;
+//   * WireDcClient (kernel)  — encoded messages over a carrier (simulated
+//     channels or TCP), cloud style.
 #pragma once
 
 #include <atomic>

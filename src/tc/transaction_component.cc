@@ -1273,171 +1273,19 @@ Status TransactionComponent::Scan(
         return s;
       }
     }
-    if (options_.scan_streaming) {
-      // Partition locks already cover the whole range: the read is one
-      // streamed request with chunked replies instead of one blocking
-      // ScanRange round trip per window.
-      return StreamScan(table, from, to, limit, ReadFlavor::kOwn,
-                        [&](const std::string& k, const std::string& v) {
-                          out->emplace_back(k, v);
-                          return limit == 0 || out->size() < limit;
-                        });
-    }
-    std::string resume = from;
-    bool skip_equal = false;
-    for (;;) {
-      OperationRequest req;
-      req.op = OpType::kScanRange;
-      req.table_id = table;
-      req.key = resume;
-      req.end_key = to;
-      req.limit = limit == 0 ? 0 : limit - static_cast<uint32_t>(out->size());
-      StatusOr<OperationReply> reply = ExecuteOp(req, txn);
-      if (!reply.ok()) return reply.status();
-      if (!reply->status.ok()) return reply->status;
-      size_t start = 0;
-      if (skip_equal && !reply->keys.empty() && reply->keys[0] == resume) {
-        start = 1;
-      }
-      for (size_t i = start; i < reply->keys.size(); ++i) {
-        out->emplace_back(reply->keys[i], reply->values[i]);
-        if (limit != 0 && out->size() >= limit) return Status::OK();
-      }
-      if (reply->keys.size() < options_.fetch_ahead_batch &&
-          reply->keys.empty()) {
-        return Status::OK();
-      }
-      if (reply->keys.empty()) return Status::OK();
-      resume = reply->keys.back();
-      skip_equal = true;
-      if (reply->keys.size() <= start) return Status::OK();
-    }
+    // Partition locks already cover the whole range: the read is one
+    // streamed request with chunked replies.
+    return StreamScan(table, from, to, limit, ReadFlavor::kOwn,
+                      [&](const std::string& k, const std::string& v) {
+                        out->emplace_back(k, v);
+                        return limit == 0 || out->size() < limit;
+                      });
   }
 
-  if (options_.scan_streaming) {
-    // §3.1 "Fetch ahead protocol" folded into one probe-mode stream:
-    // speculative probes arrive as credited chunks and the validated
-    // window read is a cursor rewind — zero blocking ScanRange messages.
-    return FetchAheadStreamScan(txn, table, from, to, limit, out);
-  }
-
-  // Blocking baseline: one probe round trip + one validated ScanRange
-  // round trip per window, submit and await back to back.
-  std::string resume = from;
-  bool skip_equal = false;
-  Status probe_error = Status::Crashed("tc is down");
-  auto submit_probe = [&](const std::string& key) {
-    OperationRequest probe;
-    probe.op = OpType::kProbeNext;
-    probe.table_id = table;
-    probe.key = key;
-    probe.limit = options_.fetch_ahead_batch + 1;
-    stats_.probes.fetch_add(1);
-    return SubmitOp(probe, txn, TcLogRecordType::kOperation, kInvalidLsn,
-                    /*pipelined=*/false, &probe_error);
-  };
-  std::shared_ptr<OutstandingOp> probe_op = submit_probe(resume);
-  for (int round = 0; round < 100000; ++round) {
-    // 1. Await the (possibly prefetched) probe for this window.
-    if (!probe_op) return probe_error;
-    if (probe_op->completed) stats_.scan_prefetch_hits.fetch_add(1);
-    StatusOr<OperationReply> probed = AwaitOp(probe_op);
-    probe_op = nullptr;
-    if (!probed.ok()) return probed.status();
-    if (!probed->status.ok()) return probed->status;
-
-    std::vector<std::string> window;
-    std::string fencepost;
-    for (const auto& k : probed->keys) {
-      if (skip_equal && k == resume) continue;
-      if (!to.empty() && k >= to) break;
-      if (window.size() < options_.fetch_ahead_batch) {
-        window.push_back(k);
-      } else {
-        fencepost = k;
-        break;
-      }
-    }
-
-    // 2. Lock the window keys (+ fencepost or EOF for phantom safety).
-    for (const auto& k : window) {
-      Status s = locks_->Lock(txn, RecordLockName(table, k),
-                              LockMode::kShared);
-      if (!s.ok()) {
-        if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
-        return s;
-      }
-    }
-    std::string end_bound;
-    if (!fencepost.empty()) {
-      Status s = locks_->Lock(txn, RecordLockName(table, fencepost),
-                              LockMode::kShared);
-      if (!s.ok()) {
-        if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
-        return s;
-      }
-      end_bound = fencepost;
-    } else {
-      // Window reaches the end of the range: take the EOF sentinel (or
-      // rely on `to` as the bound).
-      Status s = locks_->Lock(txn, TableEofLockName(table),
-                              LockMode::kShared);
-      if (!s.ok()) {
-        if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
-        return s;
-      }
-      end_bound = to;
-    }
-
-    // 3. Read the locked window, validating against the locked set.
-    std::set<std::string> locked(window.begin(), window.end());
-    for (int validation = 0; validation < 8; ++validation) {
-      OperationRequest req;
-      req.op = OpType::kScanRange;
-      req.table_id = table;
-      req.key = resume;
-      req.end_key = end_bound;
-      req.limit = options_.fetch_ahead_batch + 8;
-      StatusOr<OperationReply> reply = ExecuteOp(req, txn);
-      if (!reply.ok()) return reply.status();
-      if (!reply->status.ok()) return reply->status;
-
-      // "Should the records be different from the ones that were locked,
-      // this subsequent request becomes again a speculative request."
-      bool all_locked = true;
-      for (size_t i = 0; i < reply->keys.size(); ++i) {
-        const std::string& k = reply->keys[i];
-        if (skip_equal && k == resume) continue;
-        if (locked.count(k) == 0) {
-          Status s = locks_->Lock(txn, RecordLockName(table, k),
-                                  LockMode::kShared);
-          if (!s.ok()) {
-            if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
-            return s;
-          }
-          locked.insert(k);
-          all_locked = false;
-        }
-      }
-      if (!all_locked) continue;  // re-read under the extended lock set
-
-      for (size_t i = 0; i < reply->keys.size(); ++i) {
-        const std::string& k = reply->keys[i];
-        if (skip_equal && k == resume) continue;
-        out->emplace_back(k, reply->values[i]);
-        if (limit != 0 && out->size() >= limit) return Status::OK();
-      }
-      break;
-    }
-
-    if (fencepost.empty()) return Status::OK();  // covered to the end
-    resume = fencepost;
-    skip_equal = false;  // the fencepost record itself is not yet emitted
-    // Non-pipelined mode submits the next probe only now (the blocking
-    // baseline: submit + await back to back).
-    if (!probe_op) probe_op = submit_probe(resume);
-  }
-  return Status::Busy("scan validation kept racing");
+  // §3.1 "Fetch ahead protocol" folded into one probe-mode stream:
+  // speculative probes arrive as credited chunks and the validated
+  // window read is a cursor rewind — zero blocking ScanRange messages.
+  return FetchAheadStreamScan(txn, table, from, to, limit, out);
 }
 
 Status TransactionComponent::CreateTable(TableId table,
@@ -1475,39 +1323,13 @@ Status TransactionComponent::ScanShared(
     uint32_t limit, ReadFlavor flavor,
     std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
-  if (options_.scan_streaming) {
-    // One kScanStream request per range; the DC streams chunked replies
-    // while the TC consumes — no per-window blocking round trips.
-    return StreamScan(table, from, to, limit, flavor,
-                      [&](const std::string& k, const std::string& v) {
-                        out->emplace_back(k, v);
-                        return limit == 0 || out->size() < limit;
-                      });
-  }
-  std::string resume = from;
-  bool skip_equal = false;
-  for (;;) {
-    OperationRequest req;
-    req.op = OpType::kScanRange;
-    req.table_id = table;
-    req.key = resume;
-    req.end_key = to;
-    req.read_flavor = flavor;
-    req.limit = 128;
-    StatusOr<OperationReply> reply = ExecuteOp(req, kInvalidTxnId);
-    if (!reply.ok()) return reply.status();
-    if (!reply->status.ok()) return reply->status;
-    size_t added = 0;
-    for (size_t i = 0; i < reply->keys.size(); ++i) {
-      if (skip_equal && reply->keys[i] == resume) continue;
-      out->emplace_back(reply->keys[i], reply->values[i]);
-      ++added;
-      if (limit != 0 && out->size() >= limit) return Status::OK();
-    }
-    if (reply->keys.empty() || added == 0) return Status::OK();
-    resume = reply->keys.back();
-    skip_equal = true;
-  }
+  // One kScanStream request per range; the DC streams chunked replies
+  // while the TC consumes — no per-window blocking round trips.
+  return StreamScan(table, from, to, limit, flavor,
+                    [&](const std::string& k, const std::string& v) {
+                      out->emplace_back(k, v);
+                      return limit == 0 || out->size() < limit;
+                    });
 }
 
 // ---- Commit / Abort -------------------------------------------------------------

@@ -96,13 +96,6 @@ struct TcOptions {
   /// a K-key versioned commit costs ceil(K / promote_batch_ops) messages
   /// instead of K (1 = the old one-blocking-trip-per-key protocol).
   uint32_t promote_batch_ops = 64;
-  /// Streamed scan windows: ScanShared and partition-protocol scans open
-  /// one kScanStream request per range (chunked replies) instead of one
-  /// blocking ScanRange round trip per window, and fetch-ahead scans
-  /// prefetch the next probe while locking/validating the current
-  /// window. Off = the per-window blocking protocol (the comparison
-  /// baseline in benches).
-  bool scan_streaming = true;
   /// Rows per streamed-scan chunk (0 = the DC default).
   uint32_t scan_stream_chunk = 128;
   /// Scan-stream flow control: the DC may run at most this many chunks

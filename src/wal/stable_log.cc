@@ -1,5 +1,6 @@
 #include "wal/stable_log.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <thread>
@@ -162,6 +163,9 @@ uint64_t StableLog::ForceTo(uint64_t index) {
           std::chrono::microseconds(options_.force_delay_us));
       lock.lock();
       // Re-derive target under the lock; more records may have sealed.
+      // A concurrent force may have moved stable_end_ past target, and a
+      // TruncatePrefix may then have moved base_ past it too.
+      target = std::max(target, stable_end_);
       const uint64_t total2 = base_ + records_.size();
       while (target < total2 && records_[target - base_].sealed) {
         ++target;

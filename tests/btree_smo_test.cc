@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "dc/data_component.h"
@@ -157,6 +160,54 @@ TEST_F(BTreeSmoTest, FreedPagesAreRecycled) {
   }
   EXPECT_LE(store_->allocated_high_water(), high_water_full + 20)
       << "consolidated pages must return to the allocator";
+}
+
+// Concurrent loaders racing root splits: every descent must start from
+// the CURRENT root. A descent that latched a page the cached root id
+// named just before a split made a new root would finish in the wrong
+// subtree and file the insert where no later read looks for it.
+TEST_F(BTreeSmoTest, ConcurrentAscendingLoadsSurviveRootSplits) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3000;
+  for (TcId tc = 2; tc <= kThreads; ++tc) {
+    ControlRequest arm;
+    arm.type = ControlType::kRestartEnd;
+    arm.tc_id = tc;
+    dc_->Control(arm);
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < kThreads; ++t) {
+    loaders.emplace_back([this, t, &failures] {
+      Lsn lsn = t == 0 ? next_lsn_ : 1;  // tc 1 already used its LSN 1
+      for (int i = 0; i < kPerThread; ++i) {
+        OperationRequest req;
+        req.tc_id = static_cast<TcId>(t + 1);
+        req.lsn = lsn++;
+        req.op = OpType::kInsert;
+        req.table_id = kTable;
+        req.key = Key(t * kPerThread + i);
+        req.value = "vvvvvvvv";
+        if (!dc_->Perform(req).status.ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& loader : loaders) loader.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GT(dc_->btree()->stats().root_splits, 2u);
+  ASSERT_TRUE(dc_->btree()->CheckInvariants(kTable).ok());
+  // Every acknowledged insert reads back.
+  int missing = 0;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    OperationRequest req;
+    req.tc_id = 1;
+    req.lsn = 1000000 + static_cast<Lsn>(i);
+    req.op = OpType::kRead;
+    req.table_id = kTable;
+    req.key = Key(i);
+    if (!dc_->Perform(req).status.ok()) ++missing;
+  }
+  EXPECT_EQ(missing, 0);
 }
 
 class BTreeStormTest : public BTreeSmoTest,

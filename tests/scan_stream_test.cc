@@ -170,14 +170,12 @@ TEST(ScanStreamWireTest, ExclusiveStartHonoredByDoScan) {
   EXPECT_EQ(exclusive.keys[0], Key(2));
 }
 
-std::unique_ptr<UnbundledDb> OpenChannelDb(bool streaming,
-                                           uint32_t chunk_rows = 8) {
+std::unique_ptr<UnbundledDb> OpenChannelDb(uint32_t chunk_rows = 8) {
   UnbundledDbOptions options;
   options.transport = TransportKind::kChannel;
   options.tc.control_interval_ms = 5;
   options.tc.resend_interval_ms = 50;
   options.tc.insert_phantom_protection = false;
-  options.tc.scan_streaming = streaming;
   options.tc.scan_stream_chunk = chunk_rows;
   auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
   EXPECT_TRUE(db->CreateTable(kTable).ok());
@@ -198,7 +196,7 @@ void LoadRows(UnbundledDb* db, int n) {
 // The headline collapse: a scan spanning W windows costs ONE scan
 // request message (plus chunked replies), not W blocking round trips.
 TEST(ScanStreamTest, SharedScanCostsOneRequestForManyWindows) {
-  auto db = OpenChannelDb(/*streaming=*/true, /*chunk_rows=*/8);
+  auto db = OpenChannelDb(/*chunk_rows=*/8);
   constexpr int kRows = 100;  // 13 chunks of 8
   LoadRows(db.get(), kRows);
 
@@ -223,37 +221,32 @@ TEST(ScanStreamTest, SharedScanCostsOneRequestForManyWindows) {
             static_cast<uint64_t>(kRows));
 }
 
-TEST(ScanStreamTest, StreamedAndBlockingScansAgree) {
-  auto streamed = OpenChannelDb(/*streaming=*/true);
-  auto blocking = OpenChannelDb(/*streaming=*/false);
-  LoadRows(streamed.get(), 50);
-  LoadRows(blocking.get(), 50);
+TEST(ScanStreamTest, StreamedScansCoverExactRanges) {
+  auto db = OpenChannelDb();
+  LoadRows(db.get(), 50);
+  std::vector<std::pair<std::string, std::string>> shared_rows;
+  ASSERT_TRUE(db->tc()
+                  ->ScanShared(kTable, Key(5), Key(45), 0,
+                               ReadFlavor::kDirty, &shared_rows)
+                  .ok());
+  ASSERT_EQ(shared_rows.size(), 40u);
+  EXPECT_EQ(shared_rows.front().first, Key(5));
+  EXPECT_EQ(shared_rows.back().first, Key(44));
 
-  for (auto* db : {streamed.get(), blocking.get()}) {
-    std::vector<std::pair<std::string, std::string>> shared_rows;
-    ASSERT_TRUE(db->tc()
-                    ->ScanShared(kTable, Key(5), Key(45), 0,
-                                 ReadFlavor::kDirty, &shared_rows)
-                    .ok());
-    ASSERT_EQ(shared_rows.size(), 40u);
-    EXPECT_EQ(shared_rows.front().first, Key(5));
-    EXPECT_EQ(shared_rows.back().first, Key(44));
+  // Limited scan stops exactly at the limit.
+  std::vector<std::pair<std::string, std::string>> limited;
+  ASSERT_TRUE(db->tc()
+                  ->ScanShared(kTable, "", "", 17, ReadFlavor::kDirty,
+                               &limited)
+                  .ok());
+  EXPECT_EQ(limited.size(), 17u);
 
-    // Limited scan stops exactly at the limit.
-    std::vector<std::pair<std::string, std::string>> limited;
-    ASSERT_TRUE(db->tc()
-                    ->ScanShared(kTable, "", "", 17, ReadFlavor::kDirty,
-                                 &limited)
-                    .ok());
-    EXPECT_EQ(limited.size(), 17u);
-
-    // Serializable fetch-ahead scan (prefetching when streaming).
-    Txn txn(db->tc());
-    std::vector<std::pair<std::string, std::string>> txn_rows;
-    ASSERT_TRUE(txn.Scan(kTable, Key(10), Key(30), 0, &txn_rows).ok());
-    ASSERT_EQ(txn_rows.size(), 20u);
-    ASSERT_TRUE(txn.Commit().ok());
-  }
+  // Serializable fetch-ahead scan.
+  Txn txn(db->tc());
+  std::vector<std::pair<std::string, std::string>> txn_rows;
+  ASSERT_TRUE(txn.Scan(kTable, Key(10), Key(30), 0, &txn_rows).ok());
+  ASSERT_EQ(txn_rows.size(), 20u);
+  ASSERT_TRUE(txn.Commit().ok());
 }
 
 // Partition-protocol transactional scans ride the stream too.
@@ -344,16 +337,15 @@ TEST(ScanStreamTest, VersionedCommitBatchesPromotes) {
   }
 }
 
-// Adaptive coalescing: a queued op whose submitter goes quiescent is
-// flushed by the idle rule — long before the fixed-window worst case.
+// Coalescing: a queued op whose submitter goes quiescent is flushed by
+// the idle rule without an explicit flush.
 TEST(ScanStreamTest, AdaptiveCoalescingFlushesOnQuiescence) {
   UnbundledDbOptions options;
   options.transport = TransportKind::kChannel;
   options.tc.control_interval_ms = 100;
   options.tc.insert_phantom_protection = false;
-  options.channel.coalesce_policy = CoalescePolicy::kAdaptive;
-  options.channel.coalesce_idle_us = 25;
-  options.channel.coalesce_max_delay_us = 250;
+  options.channel.coalesce.idle_us = 25;
+  options.channel.coalesce.max_delay_us = 250;
   auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
   ASSERT_TRUE(db->CreateTable(kTable).ok());
 
@@ -457,7 +449,7 @@ TEST(ScanFlowControlTest, BoundedQueuedBytesForLargeScan) {
 // (no blocking ScanRange, no separate probes), just the one stream
 // request plus credits.
 TEST(ScanFlowControlTest, TxnScanSendsZeroBlockingScanRanges) {
-  auto db = OpenChannelDb(/*streaming=*/true, /*chunk_rows=*/8);
+  auto db = OpenChannelDb(/*chunk_rows=*/8);
   constexpr int kRows = 120;
   LoadRows(db.get(), kRows);
 
@@ -629,23 +621,18 @@ TEST(ScanStreamTest, PerDcChannelOverrides) {
   ClusterOptions options;
   options.num_dcs = 2;
   options.transport = TransportKind::kChannel;
-  options.channel.max_batch_ops = 64;
-  options.channel.coalesce_policy = CoalescePolicy::kAdaptive;
+  options.channel.coalesce.max_batch_ops = 64;
   ChannelTransportOptions far_dc = options.channel;
-  far_dc.max_batch_ops = 7;
-  far_dc.coalesce_policy = CoalescePolicy::kFixedWindow;
-  far_dc.coalesce_window_us = 500;
+  far_dc.coalesce.max_batch_ops = 7;
+  far_dc.coalesce.idle_us = 500;
   options.channel_overrides[1] = far_dc;
   auto cluster = std::move(Cluster::Open(options)).ValueOrDie();
   ASSERT_NE(cluster->channel(0, 0), nullptr);
   ASSERT_NE(cluster->channel(0, 1), nullptr);
-  EXPECT_EQ(cluster->channel(0, 0)->options().max_batch_ops, 64u);
-  EXPECT_EQ(cluster->channel(0, 0)->options().coalesce_policy,
-            CoalescePolicy::kAdaptive);
-  EXPECT_EQ(cluster->channel(0, 1)->options().max_batch_ops, 7u);
-  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce_policy,
-            CoalescePolicy::kFixedWindow);
-  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce_window_us, 500u);
+  EXPECT_EQ(cluster->channel(0, 0)->options().coalesce.max_batch_ops, 64u);
+  EXPECT_EQ(cluster->channel(0, 0)->options().coalesce.idle_us, 25u);
+  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce.max_batch_ops, 7u);
+  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce.idle_us, 500u);
 }
 
 }  // namespace

@@ -115,6 +115,37 @@ TEST(StableLogTest, TruncateNeverEntersVolatileRegion) {
   EXPECT_EQ(out, "b");
 }
 
+// A force sleeps (force_delay_us) with the mutex dropped. Meanwhile a
+// second force can make more records stable and a checkpoint can
+// truncate past the sleeper's target; the sleeper must re-derive its
+// position from stable_end, not index the truncated prefix.
+TEST(StableLogTest, ForceSurvivesTruncationDuringItsDelay) {
+  StableLogOptions options;
+  options.force_delay_us = 400000;
+  StableLog log(options);
+  for (int i = 0; i < 5; ++i) log.Append("a");  // 0-4
+  // A: targets 5, then sleeps.
+  std::thread a([&log] { log.ForceTo(4); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int i = 0; i < 5; ++i) log.Append("b");  // 5-9
+  // B: targets 10 (stable_end is still 0), then sleeps.
+  std::thread b([&log] { log.ForceTo(9); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int i = 0; i < 5; ++i) log.Append("c");  // 10-14, before A wakes
+  // A wakes (t=400ms) and makes 0-14 stable; the checkpoint truncates
+  // all of it while B (wakes at t=500ms) still holds target 10.
+  while (log.stable_end() < 15) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  log.TruncatePrefix(15);
+  a.join();
+  b.join();
+  EXPECT_EQ(log.stable_end(), 15u);
+  EXPECT_EQ(log.truncated_prefix(), 15u);
+  EXPECT_EQ(log.Append("d"), 15u);
+  EXPECT_EQ(log.Force(), 16u);
+}
+
 TEST(StableLogTest, WaitStableThroughBlocksUntilForce) {
   StableLog log;
   const uint64_t idx = log.Append("commit-record");
