@@ -594,7 +594,7 @@ void MonolithicEngine::Crash() {
   roots_.clear();
   txns_.clear();
   log_.Crash();
-  locks_ = std::make_unique<LockManager>(options_.locks);
+  locks_->Reset();
 }
 
 Status MonolithicEngine::Recover() {

@@ -34,7 +34,7 @@ std::string TableEofLockName(TableId table) {
 LockManager::LockManager(LockManagerOptions options) : options_(options) {}
 
 bool LockManager::CompatibleLocked(const LockEntry& entry, TxnId txn,
-                                   LockMode mode) const {
+                                   LockMode mode) {
   for (const auto& [holder, held_mode] : entry.holders) {
     if (holder == txn) continue;  // own locks never conflict
     if (mode == LockMode::kExclusive || held_mode == LockMode::kExclusive) {
@@ -44,13 +44,14 @@ bool LockManager::CompatibleLocked(const LockEntry& entry, TxnId txn,
   return true;
 }
 
-void LockManager::GrantLocked(LockEntry* entry, TxnId txn, LockMode mode) {
+void LockManager::GrantLocked(LockShard* shard, LockEntry* entry, TxnId txn,
+                              LockMode mode) {
   for (auto& [holder, held_mode] : entry->holders) {
     if (holder == txn) {
       if (mode == LockMode::kExclusive &&
           held_mode == LockMode::kShared) {
         held_mode = LockMode::kExclusive;
-        ++stats_.upgrades;
+        ++shard->stats.upgrades;
       }
       return;
     }
@@ -59,8 +60,7 @@ void LockManager::GrantLocked(LockEntry* entry, TxnId txn, LockMode mode) {
 }
 
 std::vector<TxnId> LockManager::BlockersLocked(const LockEntry& entry,
-                                               TxnId txn,
-                                               LockMode mode) const {
+                                               TxnId txn, LockMode mode) {
   std::vector<TxnId> blockers;
   for (const auto& [holder, held_mode] : entry.holders) {
     if (holder == txn) continue;
@@ -71,9 +71,16 @@ std::vector<TxnId> LockManager::BlockersLocked(const LockEntry& entry,
   return blockers;
 }
 
+void LockManager::NoteHeld(TxnId txn, const std::string& name) {
+  HeldShard& held = HeldOf(txn);
+  std::lock_guard<std::mutex> guard(held.mu);
+  held.held[txn].insert(name);
+}
+
 Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode) {
-  std::unique_lock<std::mutex> lock(mu_);
-  LockEntry& entry = table_[name];
+  LockShard& shard = ShardOf(name);
+  std::unique_lock<std::mutex> lock(shard.mu);
+  LockEntry& entry = shard.table[name];
 
   // Already held strongly enough?
   for (const auto& [holder, held_mode] : entry.holders) {
@@ -90,129 +97,153 @@ Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode) {
                   [txn](const auto& h) { return h.first == txn; });
   if (CompatibleLocked(entry, txn, mode) &&
       (entry.waiters.empty() || holds_already)) {
-    GrantLocked(&entry, txn, mode);
-    held_[txn].insert(name);
-    ++stats_.acquisitions;
+    GrantLocked(&shard, &entry, txn, mode);
+    NoteHeld(txn, name);
+    ++shard.stats.acquisitions;
     return Status::OK();
   }
 
-  // Must wait.
-  ++stats_.waits;
-  Waiter waiter{txn, mode, false};
+  // Must wait. `entry` stays valid while our waiter is queued on it: an
+  // entry is erased only when it has no holders and no waiters, and
+  // Reset() marks every waiter crashed before it clears the table.
+  ++shard.stats.waits;
+  Waiter waiter{txn, mode};
   entry.waiters.push_back(&waiter);
 
-  auto cleanup = [&](bool remove_edges) {
-    auto& waiters = table_[name].waiters;
-    auto it = std::find(waiters.begin(), waiters.end(), &waiter);
-    if (it != waiters.end()) waiters.erase(it);
-    if (remove_edges) wait_graph_.RemoveWaiter(txn);
+  // Leaves the queue without the lock; a waiter behind us may now fit.
+  auto abandon = [&] {
+    entry.waiters.erase(
+        std::find(entry.waiters.begin(), entry.waiters.end(), &waiter));
+    wait_graph_.RemoveWaiter(txn);
+    WakeWaitersLocked(&shard, &entry);
+    if (entry.holders.empty() && entry.waiters.empty()) shard.table.erase(name);
+  };
+  // Refreshes txn's wait-for edges; true if its wait would close a cycle.
+  auto closes_cycle = [&] {
+    if (!options_.deadlock_detection) return false;
+    wait_graph_.RemoveWaiter(txn);
+    wait_graph_.AddEdges(txn, BlockersLocked(entry, txn, mode));
+    if (wait_graph_.FindCycleFrom(txn).empty()) return false;
+    ++shard.stats.deadlocks;
+    abandon();
+    return true;
   };
 
-  if (options_.deadlock_detection) {
-    wait_graph_.AddEdges(txn, BlockersLocked(entry, txn, mode));
-    if (!wait_graph_.FindCycleFrom(txn).empty()) {
-      ++stats_.deadlocks;
-      cleanup(/*remove_edges=*/true);
-      WakeWaitersLocked(&table_[name]);
-      return Status::Deadlock("lock wait would close a cycle");
-    }
-  }
-
+  if (closes_cycle()) return Status::Deadlock("lock wait would close a cycle");
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.wait_timeout_ms);
   for (;;) {
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !waiter.granted) {
-      ++stats_.timeouts;
-      cleanup(true);
-      return Status::TimedOut("lock wait timed out");
-    }
+    const bool timed_out =
+        shard.cv.wait_until(lock, deadline) == std::cv_status::timeout;
+    if (waiter.crashed) return Status::Crashed("lock manager reset");
     if (waiter.granted) {
       // WakeWaitersLocked granted us and added us to holders.
       wait_graph_.RemoveWaiter(txn);
-      held_[txn].insert(name);
-      ++stats_.acquisitions;
+      NoteHeld(txn, name);
+      ++shard.stats.acquisitions;
       return Status::OK();
     }
-    if (options_.deadlock_detection) {
-      // Blockers may have changed; refresh edges and re-check.
-      wait_graph_.RemoveWaiter(txn);
-      wait_graph_.AddEdges(txn, BlockersLocked(table_[name], txn, mode));
-      if (!wait_graph_.FindCycleFrom(txn).empty()) {
-        ++stats_.deadlocks;
-        cleanup(true);
-        WakeWaitersLocked(&table_[name]);
-        return Status::Deadlock("lock wait would close a cycle");
-      }
+    if (timed_out) {
+      ++shard.stats.timeouts;
+      abandon();
+      return Status::TimedOut("lock wait timed out");
+    }
+    // Blockers may have changed; re-check for a cycle.
+    if (closes_cycle()) {
+      return Status::Deadlock("lock wait would close a cycle");
     }
   }
 }
 
 Status LockManager::LockInstant(TxnId txn, const std::string& name,
                                 LockMode mode) {
-  Status s = Lock(txn, name, mode);
-  if (!s.ok()) return s;
-  // Instant duration: release just this lock (unless the txn held it
-  // already — then keep it; releasing would break 2PL).
-  std::lock_guard<std::mutex> guard(mu_);
-  auto held_it = held_.find(txn);
-  if (held_it == held_.end()) return Status::OK();
-  // We cannot tell "newly acquired" from "reacquired"; conservatively keep
-  // the lock. Instant semantics only matter for conflict detection, which
-  // already happened inside Lock().
-  return Status::OK();
+  // We cannot tell "newly acquired" from "reacquired", so the lock is
+  // kept; instant semantics only matter for the conflict check in Lock().
+  return Lock(txn, name, mode);
 }
 
-void LockManager::WakeWaitersLocked(LockEntry* entry) {
+void LockManager::WakeWaitersLocked(LockShard* shard, LockEntry* entry) {
   // Grant from the front of the queue while compatible (FIFO fairness).
   bool granted_any = false;
   while (!entry->waiters.empty()) {
     Waiter* w = entry->waiters.front();
     if (!CompatibleLocked(*entry, w->txn, w->mode)) break;
-    GrantLocked(entry, w->txn, w->mode);
+    GrantLocked(shard, entry, w->txn, w->mode);
     w->granted = true;
     entry->waiters.pop_front();
     granted_any = true;
     if (w->mode == LockMode::kExclusive) break;
   }
-  if (granted_any) cv_.notify_all();
+  if (granted_any) shard->cv.notify_all();
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto held_it = held_.find(txn);
-  if (held_it == held_.end()) {
-    wait_graph_.RemoveTxn(txn);
-    return;
+  std::unordered_set<std::string> names;
+  {
+    HeldShard& held = HeldOf(txn);
+    std::lock_guard<std::mutex> guard(held.mu);
+    auto it = held.held.find(txn);
+    if (it != held.held.end()) {
+      names = std::move(it->second);
+      held.held.erase(it);
+    }
   }
-  for (const std::string& name : held_it->second) {
-    auto table_it = table_.find(name);
-    if (table_it == table_.end()) continue;
+  for (const std::string& name : names) {
+    LockShard& shard = ShardOf(name);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    auto table_it = shard.table.find(name);
+    if (table_it == shard.table.end()) continue;
     LockEntry& entry = table_it->second;
     entry.holders.erase(
         std::remove_if(entry.holders.begin(), entry.holders.end(),
                        [txn](const auto& h) { return h.first == txn; }),
         entry.holders.end());
     if (entry.holders.empty() && entry.waiters.empty()) {
-      table_.erase(table_it);
+      shard.table.erase(table_it);
     } else {
-      WakeWaitersLocked(&entry);
+      WakeWaitersLocked(&shard, &entry);
     }
   }
-  held_.erase(held_it);
-  wait_graph_.RemoveTxn(txn);
-  cv_.notify_all();
+  // Every edge naming txn was added under a shard lock taken above, so an
+  // empty graph here means there is nothing of txn's to drop.
+  if (!wait_graph_.Empty()) wait_graph_.RemoveTxn(txn);
+}
+
+void LockManager::Reset() {
+  for (LockShard& shard : lock_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (auto& [name, entry] : shard.table) {
+      for (Waiter* w : entry.waiters) w->crashed = true;
+    }
+    shard.table.clear();
+    shard.stats = LockManagerStats{};
+    shard.cv.notify_all();
+  }
+  for (HeldShard& held : held_shards_) {
+    std::lock_guard<std::mutex> guard(held.mu);
+    held.held.clear();
+  }
+  wait_graph_.Clear();
 }
 
 size_t LockManager::HeldCount(TxnId txn) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = held_.find(txn);
-  return it == held_.end() ? 0 : it->second.size();
+  const HeldShard& held = HeldOf(txn);
+  std::lock_guard<std::mutex> guard(held.mu);
+  auto it = held.held.find(txn);
+  return it == held.held.end() ? 0 : it->second.size();
 }
 
 LockManagerStats LockManager::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return stats_;
+  LockManagerStats total;
+  for (const LockShard& shard : lock_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    total.acquisitions += shard.stats.acquisitions;
+    total.waits += shard.stats.waits;
+    total.deadlocks += shard.stats.deadlocks;
+    total.timeouts += shard.stats.timeouts;
+    total.upgrades += shard.stats.upgrades;
+  }
+  return total;
 }
 
 }  // namespace untx

@@ -51,7 +51,7 @@ TransactionComponent::TransactionComponent(TcOptions options,
       dcs_(std::move(dcs)),
       router_(std::move(router)),
       log_(options.log),
-      locks_(std::make_unique<LockManager>(options.locks)) {
+      locks_(options.locks) {
   assert(!dcs_.empty());
   for (auto& binding : dcs_) {
     binding.client->set_op_reply_handler(
@@ -131,14 +131,14 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
   if (reply.was_duplicate) stats_.dup_replies.fetch_add(1);
   std::shared_ptr<OutstandingOp> op;
   {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    auto it = outstanding_.find(reply.lsn);
-    if (it == outstanding_.end() || it->second->completed) {
+    OpShard& shard = OpShardOf(reply.lsn);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    auto it = shard.ops.find(reply.lsn);
+    if (it == shard.ops.end()) {
       return;  // duplicate or late reply — idempotence already paid for it
     }
-    op = it->second;
-    op->completed = true;
-    op->reply = reply;
+    op = std::move(it->second);
+    shard.ops.erase(it);
     // The DC durably appended this op to its redo log at `rlsn`: record
     // it so a failover/local-recovery resend can skip every op the
     // revived DC's log already holds (the suffix-only resend). Duplicate
@@ -149,24 +149,30 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
     // next promoted standby. Erasure keeps the op conservatively
     // resendable (a redundant resend is absorbed as an abLSN duplicate).
     if (reply.rlsn != 0) {
-      acked_rlsns_[op->dc][reply.lsn] = reply.rlsn;
+      shard.acked_rlsns[op->dc][reply.lsn] = reply.rlsn;
     } else {
-      auto acked_it = acked_rlsns_.find(op->dc);
-      if (acked_it != acked_rlsns_.end()) acked_it->second.erase(reply.lsn);
+      auto acked_it = shard.acked_rlsns.find(op->dc);
+      if (acked_it != shard.acked_rlsns.end()) {
+        acked_it->second.erase(reply.lsn);
+      }
     }
-    outstanding_.erase(it);
+  }
+  // This thread alone owns the op now: publish the reply, then the flag.
+  op->reply = reply;
+  op->completed.store(true);
+  if (op->pipeline) {
+    TxnState* txn = op->pipeline.get();
+    std::lock_guard<std::mutex> guard(txn->mu);
     // Release the per-key conflict gate for pipelined successors.
-    auto key_it = inflight_keys_.find(
+    auto key_it = txn->inflight_keys.find(
         InflightKey(op->request.table_id, op->request.key));
-    if (key_it != inflight_keys_.end()) {
+    if (key_it != txn->inflight_keys.end()) {
       auto& ops = key_it->second;
       ops.erase(std::remove(ops.begin(), ops.end(), op), ops.end());
-      if (ops.empty()) inflight_keys_.erase(key_it);
+      if (ops.empty()) txn->inflight_keys.erase(key_it);
     }
     // Drain the backpressure window and wake blocked submitters.
-    if (op->pipelined && op->txn != kInvalidTxnId) {
-      ReleaseWindowSlotLocked(op->txn, op->dc);
-    }
+    ReleaseWindowSlotLocked(txn, op->dc);
   }
   if (op->needs_seal) {
     TcLogRecord rec;
@@ -267,7 +273,7 @@ Status TransactionComponent::WaitDcReady(
   // the range exhausted early. Every gate-opening path notifies
   // dc_ready_cv_, so the wait ends the moment redo completes instead of
   // on the next poll tick; the 50ms slice only bounds a lost wakeup.
-  std::unique_lock<std::mutex> lock(out_mu_);
+  std::unique_lock<std::mutex> lock(recovering_mu_);
   for (;;) {
     auto it = dc_recovering_.find(dc);
     const bool recovering = it != dc_recovering_.end() && it->second;
@@ -580,7 +586,7 @@ Status TransactionComponent::FetchAheadStreamScan(
       // EOF sentinel for phantom safety.
       for (const auto& k : probe.keys) {
         Status s =
-            locks_->Lock(txn, RecordLockName(table, k), LockMode::kShared);
+            locks_.Lock(txn, RecordLockName(table, k), LockMode::kShared);
         if (!s.ok()) {
           if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
           send_close();
@@ -591,10 +597,10 @@ Status TransactionComponent::FetchAheadStreamScan(
       const std::string fencepost = probe.next_key;
       {
         Status s = fencepost.empty()
-                       ? locks_->Lock(txn, TableEofLockName(table),
-                                      LockMode::kShared)
-                       : locks_->Lock(txn, RecordLockName(table, fencepost),
-                                      LockMode::kShared);
+                       ? locks_.Lock(txn, TableEofLockName(table),
+                                     LockMode::kShared)
+                       : locks_.Lock(txn, RecordLockName(table, fencepost),
+                                     LockMode::kShared);
         if (!s.ok()) {
           if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
           send_close();
@@ -663,7 +669,7 @@ Status TransactionComponent::FetchAheadStreamScan(
         for (const auto& k : vchunk.keys) {
           if (locked.count(k) != 0) continue;
           Status s =
-              locks_->Lock(txn, RecordLockName(table, k), LockMode::kShared);
+              locks_.Lock(txn, RecordLockName(table, k), LockMode::kShared);
           if (!s.ok()) {
             if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
             send_close();
@@ -739,39 +745,40 @@ StatusOr<ControlReply> TransactionComponent::ControlAwait(
   }
 }
 
-void TransactionComponent::SendToDc(const std::shared_ptr<OutstandingOp>& op,
-                                    bool is_resend) {
-  {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    auto it = dc_recovering_.find(op->dc);
-    if (it != dc_recovering_.end() && it->second && is_resend) {
-      return;  // hold resends while the DC replays its redo
-    }
-    op->last_send = std::chrono::steady_clock::now();
-  }
-  if (is_resend) stats_.resends.fetch_add(1);
-  ClientFor(op->dc)->SendOperation(op->request);
-}
-
 void TransactionComponent::ResendPass() {
   if (crashed_.load()) return;
+  std::set<DcId> held;  // DCs replaying their redo: hold their resends
+  {
+    std::lock_guard<std::mutex> guard(recovering_mu_);
+    for (const auto& [dc, recovering] : dc_recovering_) {
+      if (recovering) held.insert(dc);
+    }
+  }
   std::vector<std::shared_ptr<OutstandingOp>> stale;
   const auto now = std::chrono::steady_clock::now();
   const auto age = std::chrono::milliseconds(options_.resend_interval_ms);
-  {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    for (auto& [lsn, op] : outstanding_) {
+  for (OpShard& shard : op_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (auto& [lsn, op] : shard.ops) {
       // Recovery resends are retried by RedoResend's own ordered
       // suffix-resend loop; an individual background resend here could
       // deliver a CLR BEFORE the forward op it compensates (separate
       // messages reorder on the wire) and corrupt replayed history.
-      if (op->request.recovery_resend) continue;
-      if (!op->completed && now - op->last_send >= age) {
+      if (op->request.recovery_resend || held.count(op->dc) != 0) continue;
+      if (now - op->last_send >= age) {
+        op->last_send = now;
         stale.push_back(op);
       }
     }
   }
-  for (auto& op : stale) SendToDc(op, /*is_resend=*/true);
+  // Shards interleave LSNs: resend in LSN order, as one table did.
+  std::sort(stale.begin(), stale.end(), [](const auto& a, const auto& b) {
+    return a->request.lsn < b->request.lsn;
+  });
+  for (const auto& op : stale) {
+    stats_.resends.fetch_add(1);
+    ClientFor(op->dc)->SendOperation(op->request);
+  }
 }
 
 void TransactionComponent::PushControls() {
@@ -794,7 +801,8 @@ void TransactionComponent::PushControls() {
 
 // ---- Operation execution -------------------------------------------------------
 
-bool TransactionComponent::WaitForConflicts(const OperationRequest& req) {
+bool TransactionComponent::WaitForConflicts(TxnState* txn,
+                                            const OperationRequest& req) {
   // The §1.2 obligation: never two conflicting operations in flight. The
   // lock manager already serializes conflicts ACROSS transactions; within
   // one transaction, pipelined submits against the same key must drain
@@ -805,9 +813,9 @@ bool TransactionComponent::WaitForConflicts(const OperationRequest& req) {
   for (;;) {
     std::shared_ptr<OutstandingOp> predecessor;
     {
-      std::lock_guard<std::mutex> guard(out_mu_);
-      auto it = inflight_keys_.find(gate);
-      if (it != inflight_keys_.end()) {
+      std::lock_guard<std::mutex> guard(txn->mu);
+      auto it = txn->inflight_keys.find(gate);
+      if (it != txn->inflight_keys.end()) {
         for (const auto& op : it->second) {
           if (op->completed) continue;
           if (is_write || IsWriteOp(op->request.op)) {
@@ -828,30 +836,29 @@ bool TransactionComponent::WaitForConflicts(const OperationRequest& req) {
   }
 }
 
-void TransactionComponent::ReleaseWindowSlotLocked(TxnId txn, DcId dc) {
-  auto it = window_counts_.find({txn, dc});
-  if (it == window_counts_.end()) return;  // cap off, or cleared by Crash()
-  if (--it->second == 0) window_counts_.erase(it);
-  window_cv_.notify_all();
+void TransactionComponent::ReleaseWindowSlotLocked(TxnState* txn, DcId dc) {
+  auto it = txn->window_counts.find(dc);
+  if (it == txn->window_counts.end()) return;  // cap off, or Crash() cleared
+  if (--it->second == 0) txn->window_counts.erase(it);
+  txn->window_cv.notify_all();
 }
 
-bool TransactionComponent::WaitForWindow(TxnId txn, DcId dc) {
+bool TransactionComponent::WaitForWindow(TxnState* txn, DcId dc) {
   const uint32_t cap = options_.max_outstanding_ops;
-  if (cap == 0 || txn == kInvalidTxnId) return true;
-  const auto window_key = std::make_pair(txn, dc);
+  if (cap == 0) return true;
   // Check-and-reserve must be one atomic step: concurrent submitters on
   // the same (txn, DC) would otherwise each pass the check and jointly
   // overshoot the cap. The slot is released by the reply handler (or by
   // SubmitOp itself if the submit fails after the reservation).
   auto try_reserve = [&]() {
-    uint32_t& count = window_counts_[window_key];
+    uint32_t& count = txn->window_counts[dc];
     if (count >= cap) return false;
     ++count;
     return true;
   };
   {
     // Common case: the window has room — one map lookup, no waiting.
-    std::lock_guard<std::mutex> guard(out_mu_);
+    std::lock_guard<std::mutex> guard(txn->mu);
     if (try_reserve()) return true;
   }
   stats_.backpressure_waits.fetch_add(1);
@@ -862,40 +869,81 @@ bool TransactionComponent::WaitForWindow(TxnId txn, DcId dc) {
       std::max<uint32_t>(options_.resend_interval_ms, 10));
   for (;;) {
     // The window may still sit in a coalescing queue: push it onto the
-    // wire (outside out_mu_ — the reply handler needs that lock), then
+    // wire (outside txn->mu — the reply handler needs that lock), then
     // wait for completions to drain it.
     ClientFor(dc)->FlushOperations();
-    std::unique_lock<std::mutex> lock(out_mu_);
+    std::unique_lock<std::mutex> lock(txn->mu);
     bool reserved = false;
-    window_cv_.wait_for(lock, interval,
-                        [&] { return (reserved = try_reserve()); });
+    txn->window_cv.wait_for(lock, interval, [&] {
+      return crashed_.load() || (reserved = try_reserve());
+    });
+    if (crashed_.load() && !reserved) return false;
     if (reserved || try_reserve()) return true;
     if (std::chrono::steady_clock::now() > deadline) return false;
   }
 }
 
+std::shared_ptr<TransactionComponent::TxnState>
+TransactionComponent::FindTxn(TxnId txn) {
+  TxnShard& shard = TxnShardOf(txn);
+  std::lock_guard<std::mutex> guard(shard.mu);
+  auto it = shard.txns.find(txn);
+  return it == shard.txns.end() ? nullptr : it->second;
+}
+
+void TransactionComponent::RetireTxn(TxnId txn) {
+  std::shared_ptr<TxnState> state;
+  {
+    TxnShard& shard = TxnShardOf(txn);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    auto it = shard.txns.find(txn);
+    if (it == shard.txns.end()) return;
+    state = std::move(it->second);
+    shard.txns.erase(it);
+  }
+  std::lock_guard<std::mutex> guard(state->mu);
+  state->pending_ops.clear();
+  state->inflight_keys.clear();
+}
+
+void TransactionComponent::RegisterOp(
+    const std::shared_ptr<OutstandingOp>& op) {
+  OpShard& shard = OpShardOf(op->request.lsn);
+  std::lock_guard<std::mutex> guard(shard.mu);
+  op->last_send = std::chrono::steady_clock::now();
+  shard.ops[op->request.lsn] = op;
+}
+
+void TransactionComponent::ForgetOp(Lsn lsn) {
+  OpShard& shard = OpShardOf(lsn);
+  std::lock_guard<std::mutex> guard(shard.mu);
+  shard.ops.erase(lsn);
+}
+
 std::shared_ptr<TransactionComponent::OutstandingOp>
 TransactionComponent::SubmitOp(OperationRequest req, TxnId txn,
+                               std::shared_ptr<TxnState> pipeline,
                                TcLogRecordType record_type, Lsn undo_target,
-                               bool pipelined, Status* error) {
+                               Status* error) {
   auto fail = [error](Status s) -> std::shared_ptr<OutstandingOp> {
     if (error != nullptr) *error = std::move(s);
     return nullptr;
   };
   if (crashed_.load()) return fail(Status::Crashed("tc is down"));
   const DcId dc = Route(req.table_id, req.key);
-  if (pipelined && !WaitForConflicts(req)) {
+  if (pipeline && !WaitForConflicts(pipeline.get(), req)) {
     return fail(
         Status::TimedOut("conflicting in-flight op never completed"));
   }
-  if (pipelined && !WaitForWindow(txn, dc)) {
+  if (pipeline && !WaitForWindow(pipeline.get(), dc)) {
+    if (crashed_.load()) return fail(Status::Crashed("tc is down"));
     return fail(Status::Busy("outstanding-op window to the DC is full"));
   }
   if (crashed_.load()) {
     // The window slot reserved above is never consumed: hand it back.
-    if (pipelined && txn != kInvalidTxnId) {
-      std::lock_guard<std::mutex> guard(out_mu_);
-      ReleaseWindowSlotLocked(txn, dc);
+    if (pipeline) {
+      std::lock_guard<std::mutex> guard(pipeline->mu);
+      ReleaseWindowSlotLocked(pipeline.get(), dc);
     }
     return fail(Status::Crashed("tc is down"));
   }
@@ -909,25 +957,17 @@ TransactionComponent::SubmitOp(OperationRequest req, TxnId txn,
   op->txn = txn;
   op->record_type = record_type;
   op->undo_target = undo_target;
-  op->pipelined = pipelined;
   op->dc = dc;
-  {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    outstanding_[req.lsn] = op;
-    op->last_send = std::chrono::steady_clock::now();
-    if (pipelined) {
-      inflight_keys_[InflightKey(req.table_id, req.key)].push_back(op);
-      // The backpressure slot was already reserved by WaitForWindow.
-    }
-  }
-  if (pipelined && txn != kInvalidTxnId &&
-      record_type == TcLogRecordType::kOperation) {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    auto it = txns_.find(txn);
-    if (it != txns_.end()) it->second.pending_ops.push_back(op);
+  op->pipeline = pipeline;
+  RegisterOp(op);
+  if (pipeline) {
+    // The backpressure slot was already reserved by WaitForWindow.
+    std::lock_guard<std::mutex> guard(pipeline->mu);
+    pipeline->inflight_keys[InflightKey(req.table_id, req.key)].push_back(op);
+    pipeline->pending_ops.push_back(op);
   }
   stats_.ops_sent.fetch_add(1);
-  if (pipelined) {
+  if (pipeline) {
     ClientFor(op->dc)->QueueOperation(op->request);
   } else {
     ClientFor(op->dc)->SendOperation(op->request);
@@ -937,7 +977,7 @@ TransactionComponent::SubmitOp(OperationRequest req, TxnId txn,
 
 StatusOr<OperationReply> TransactionComponent::AwaitOp(
     const std::shared_ptr<OutstandingOp>& op) {
-  if (op->pipelined && !op->completed) {
+  if (op->pipeline && !op->completed) {
     ClientFor(op->dc)->FlushOperations();
   }
   if (!op->done.WaitFor(std::chrono::milliseconds(options_.op_timeout_ms))) {
@@ -950,19 +990,14 @@ StatusOr<OperationReply> TransactionComponent::AwaitOp(
 
 void TransactionComponent::HarvestReply(
     const std::shared_ptr<OutstandingOp>& op) {
-  // Read `completed` under out_mu_: the await may have TIMED OUT with
-  // the reply handler mid-assignment of op->reply. Observing completed
-  // under the same lock that published it guarantees the reply is whole.
-  {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    if (!op->completed) return;
-  }
-  std::lock_guard<std::mutex> guard(txn_mu_);
+  // `completed` is published only after the reply is whole, so an await
+  // that TIMED OUT mid-assignment of op->reply harvests nothing.
+  if (!op->completed || !op->pipeline) return;
+  TxnState* txn = op->pipeline.get();
+  std::lock_guard<std::mutex> guard(txn->mu);
   if (op->harvested) return;
   op->harvested = true;
-  auto it = txns_.find(op->txn);
-  if (it == txns_.end()) return;
-  auto& pending = it->second.pending_ops;
+  auto& pending = txn->pending_ops;
   pending.erase(std::remove(pending.begin(), pending.end(), op),
                 pending.end());
   const OperationReply& reply = op->reply;
@@ -972,38 +1007,39 @@ void TransactionComponent::HarvestReply(
   }
   const TableId table = op->request.table_id;
   const std::string& key = op->request.key;
+  TxnHistory& history = txn->history;
   switch (op->request.op) {
     case OpType::kInsert:
-      it->second.undo_chain.push_back(
+      history.undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kInsert, table, key, "", false});
       break;
     case OpType::kUpdate:
-      it->second.undo_chain.push_back(
+      history.undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kUpdate, table, key, reply.value,
                     true});
       break;
     case OpType::kDelete:
-      it->second.undo_chain.push_back(
+      history.undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kDelete, table, key, reply.value,
                     true});
       break;
     case OpType::kUpsert:
-      it->second.undo_chain.push_back(
+      history.undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kUpsert, table, key, reply.value,
                     reply.has_before});
       break;
     default:
       return;  // version/DDL ops carry no logical undo
   }
-  it->second.written_keys.emplace_back(table, key);
+  history.written_keys.emplace_back(table, key);
 }
 
 StatusOr<OperationReply> TransactionComponent::ExecuteOp(
     OperationRequest req, TxnId txn, TcLogRecordType record_type,
     Lsn undo_target) {
   Status error = Status::Crashed("tc is down");
-  auto op = SubmitOp(std::move(req), txn, record_type, undo_target,
-                     /*pipelined=*/false, &error);
+  auto op = SubmitOp(std::move(req), txn, /*pipeline=*/nullptr, record_type,
+                     undo_target, &error);
   if (!op) return error;
   return AwaitOp(op);
 }
@@ -1014,12 +1050,12 @@ Status TransactionComponent::LockForWrite(TxnId txn, TableId table,
                                           const std::string& key,
                                           bool is_insert) {
   if (options_.range_protocol == RangeLockProtocol::kPartition) {
-    return locks_->Lock(txn, RangeLockName(table,
-                                           options_.partitions.PartitionOf(key)),
-                        LockMode::kExclusive);
+    return locks_.Lock(
+        txn, RangeLockName(table, options_.partitions.PartitionOf(key)),
+        LockMode::kExclusive);
   }
-  Status s = locks_->Lock(txn, RecordLockName(table, key),
-                          LockMode::kExclusive);
+  Status s =
+      locks_.Lock(txn, RecordLockName(table, key), LockMode::kExclusive);
   if (!s.ok()) return s;
   if (is_insert && options_.insert_phantom_protection) {
     // Key-range-style protection: probe and instant-lock the next key so
@@ -1039,7 +1075,7 @@ Status TransactionComponent::LockForWrite(TxnId txn, TableId table,
         break;
       }
     }
-    s = locks_->LockInstant(txn, next_name, LockMode::kExclusive);
+    s = locks_.LockInstant(txn, next_name, LockMode::kExclusive);
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -1048,11 +1084,11 @@ Status TransactionComponent::LockForWrite(TxnId txn, TableId table,
 Status TransactionComponent::LockForRead(TxnId txn, TableId table,
                                          const std::string& key) {
   if (options_.range_protocol == RangeLockProtocol::kPartition) {
-    return locks_->Lock(txn, RangeLockName(table,
-                                           options_.partitions.PartitionOf(key)),
-                        LockMode::kShared);
+    return locks_.Lock(
+        txn, RangeLockName(table, options_.partitions.PartitionOf(key)),
+        LockMode::kShared);
   }
-  return locks_->Lock(txn, RecordLockName(table, key), LockMode::kShared);
+  return locks_.Lock(txn, RecordLockName(table, key), LockMode::kShared);
 }
 
 // ---- Pipelined asynchronous surface ---------------------------------------------
@@ -1060,9 +1096,18 @@ Status TransactionComponent::LockForRead(TxnId txn, TableId table,
 TransactionComponent::OpHandle TransactionComponent::SubmitLocked(
     TxnId txn, OperationRequest req) {
   OpHandle handle;
+  if (crashed_.load()) {
+    handle.submit_status_ = Status::Crashed("tc is down");
+    return handle;
+  }
+  std::shared_ptr<TxnState> state = FindTxn(txn);
+  if (!state) {
+    handle.submit_status_ = Status::NotFound("unknown transaction");
+    return handle;
+  }
   Status error = Status::Crashed("tc is down");
-  handle.op_ = SubmitOp(std::move(req), txn, TcLogRecordType::kOperation,
-                        kInvalidLsn, /*pipelined=*/true, &error);
+  handle.op_ = SubmitOp(std::move(req), txn, std::move(state),
+                        TcLogRecordType::kOperation, kInvalidLsn, &error);
   if (!handle.op_) handle.submit_status_ = error;
   return handle;
 }
@@ -1173,12 +1218,16 @@ Status TransactionComponent::Await(OpHandle* handle, std::string* value) {
 }
 
 Status TransactionComponent::AwaitAll(TxnId txn) {
+  std::shared_ptr<TxnState> state = FindTxn(txn);
+  if (!state) return Status::OK();  // nothing pending
+  return DrainPipeline(state.get());
+}
+
+Status TransactionComponent::DrainPipeline(TxnState* txn) {
   std::vector<std::shared_ptr<OutstandingOp>> pending;
   {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    auto it = txns_.find(txn);
-    if (it == txns_.end()) return Status::OK();  // nothing pending
-    pending = it->second.pending_ops;
+    std::lock_guard<std::mutex> guard(txn->mu);
+    pending = txn->pending_ops;
   }
   if (pending.empty()) return Status::OK();
   // One flush per DC pushes every coalesced batch onto the wire at once.
@@ -1197,11 +1246,11 @@ Status TransactionComponent::AwaitAll(TxnId txn) {
 
 StatusOr<TxnId> TransactionComponent::Begin() {
   if (crashed_.load()) return Status::Crashed("tc is down");
-  TxnId id;
+  const TxnId id = next_txn_.fetch_add(1);
   {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    id = next_txn_++;
-    txns_[id] = TxnState{id, {}, {}, {}};
+    TxnShard& shard = TxnShardOf(id);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.txns.emplace(id, std::make_shared<TxnState>());
   }
   TcLogRecord rec;
   rec.type = TcLogRecordType::kBegin;
@@ -1267,7 +1316,7 @@ Status TransactionComponent::Scan(
     auto [lo, hi] = options_.partitions.Overlapping(from, to);
     for (uint32_t i = lo; i <= hi; ++i) {
       Status s =
-          locks_->Lock(txn, RangeLockName(table, i), LockMode::kShared);
+          locks_.Lock(txn, RangeLockName(table, i), LockMode::kShared);
       if (!s.ok()) {
         if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
         return s;
@@ -1339,15 +1388,17 @@ Status TransactionComponent::Commit(TxnId txn) {
   // (and fed the undo chain) before the commit record is cut. A pipelined
   // op that failed surfaces here and blocks the commit — the transaction
   // stays open for the caller to abort.
-  Status drain = AwaitAll(txn);
+  std::shared_ptr<TxnState> state = FindTxn(txn);
+  if (!state) return Status::NotFound("unknown transaction");
+  Status drain = DrainPipeline(state.get());
   if (!drain.ok()) return drain;
 
-  TxnState state;
+  bool wrote;
+  std::vector<std::pair<TableId, std::string>> written_keys;
   {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    auto it = txns_.find(txn);
-    if (it == txns_.end()) return Status::NotFound("unknown transaction");
-    state = it->second;
+    std::lock_guard<std::mutex> guard(state->mu);
+    wrote = !state->history.undo_chain.empty();
+    if (options_.versioning) written_keys = state->history.written_keys;
   }
 
   TcLogRecord rec;
@@ -1358,7 +1409,7 @@ Status TransactionComponent::Commit(TxnId txn) {
   const uint64_t commit_index = log_.Append(std::move(payload));
 
   // Log force for durability (§4.1.1(4)); read-only txns skip the force.
-  if (!state.undo_chain.empty()) {
+  if (wrote) {
     if (options_.group_commit) {
       // Wake the forcer now instead of waiting out its interval tick —
       // sub-millisecond group-commit windows stay sub-millisecond.
@@ -1373,16 +1424,13 @@ Status TransactionComponent::Commit(TxnId txn) {
   }
 
   // §6.2.2: after the commit point, eliminate the before versions.
-  if (options_.versioning && !state.written_keys.empty()) {
-    Status s = FinishVersionedCommit(txn, state.written_keys);
+  if (!written_keys.empty()) {
+    Status s = FinishVersionedCommit(txn, written_keys);
     if (!s.ok()) return s;
   }
 
-  locks_->ReleaseAll(txn);
-  {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    txns_.erase(txn);
-  }
+  locks_.ReleaseAll(txn);
+  RetireTxn(txn);
   stats_.txns_committed.fetch_add(1);
   return Status::OK();
 }
@@ -1411,25 +1459,20 @@ Status TransactionComponent::FinishVersionedCommit(
       std::vector<std::shared_ptr<OutstandingOp>> ops;
       chunk.reserve(count);
       ops.reserve(count);
-      {
-        std::lock_guard<std::mutex> guard(out_mu_);
-        const auto now = std::chrono::steady_clock::now();
-        for (size_t k = base; k < base + count; ++k) {
-          OperationRequest req;
-          req.op = OpType::kPromoteVersion;
-          req.table_id = keys[k].first;
-          req.key = keys[k].second;
-          req.tc_id = options_.tc_id;
-          req.lsn = log_.Reserve() + 1;
-          auto op = std::make_shared<OutstandingOp>();
-          op->request = req;
-          op->txn = txn;
-          op->dc = dc;
-          op->last_send = now;
-          outstanding_[req.lsn] = op;
-          chunk.push_back(std::move(req));
-          ops.push_back(std::move(op));
-        }
+      for (size_t k = base; k < base + count; ++k) {
+        OperationRequest req;
+        req.op = OpType::kPromoteVersion;
+        req.table_id = keys[k].first;
+        req.key = keys[k].second;
+        req.tc_id = options_.tc_id;
+        req.lsn = log_.Reserve() + 1;
+        auto op = std::make_shared<OutstandingOp>();
+        op->request = req;
+        op->txn = txn;
+        op->dc = dc;
+        RegisterOp(op);
+        chunk.push_back(std::move(req));
+        ops.push_back(std::move(op));
       }
       stats_.ops_sent.fetch_add(chunk.size());
       stats_.promote_ops.fetch_add(chunk.size());
@@ -1453,17 +1496,17 @@ Status TransactionComponent::FinishVersionedCommit(
   return Status::OK();
 }
 
-Status TransactionComponent::UndoTxnLocked(TxnState* state) {
+Status TransactionComponent::UndoTxn(TxnId txn,
+                                     std::vector<UndoEntry> chain) {
   // Submit inverse logical operations in reverse chronological order
   // (§4.1.1(2b)), logging each as a CLR. Individually-awaited pipelined
   // ops may have been harvested out of submission order; LSN order is the
   // chronology that matters.
-  std::stable_sort(state->undo_chain.begin(), state->undo_chain.end(),
+  std::stable_sort(chain.begin(), chain.end(),
                    [](const UndoEntry& a, const UndoEntry& b) {
                      return a.lsn < b.lsn;
                    });
-  for (auto it = state->undo_chain.rbegin(); it != state->undo_chain.rend();
-       ++it) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     OperationRequest inverse;
     inverse.table_id = it->table;
     inverse.key = it->key;
@@ -1495,7 +1538,7 @@ Status TransactionComponent::UndoTxnLocked(TxnState* state) {
       }
     }
     StatusOr<OperationReply> reply =
-        ExecuteOp(inverse, state->id, TcLogRecordType::kClr, it->lsn);
+        ExecuteOp(inverse, txn, TcLogRecordType::kClr, it->lsn);
     if (!reply.ok()) return reply.status();
     // NotFound during versioned rollback is fine (idempotent).
   }
@@ -1505,16 +1548,16 @@ Status TransactionComponent::UndoTxnLocked(TxnState* state) {
 Status TransactionComponent::Abort(TxnId txn) {
   // Drain the pipeline so every applied write is in the undo chain; the
   // ops' logical statuses don't matter (we are rolling back anyway).
-  AwaitAll(txn);
+  std::shared_ptr<TxnState> state = FindTxn(txn);
+  if (!state) return Status::NotFound("unknown transaction");
+  DrainPipeline(state.get());
 
-  TxnState state;
+  std::vector<UndoEntry> chain;
   {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    auto it = txns_.find(txn);
-    if (it == txns_.end()) return Status::NotFound("unknown transaction");
-    state = it->second;
+    std::lock_guard<std::mutex> guard(state->mu);
+    chain = state->history.undo_chain;
   }
-  Status undo = UndoTxnLocked(&state);
+  Status undo = UndoTxn(txn, std::move(chain));
   if (!undo.ok()) return undo;
 
   TcLogRecord rec;
@@ -1524,11 +1567,8 @@ Status TransactionComponent::Abort(TxnId txn) {
   rec.EncodeTo(&payload);
   log_.Append(std::move(payload));
 
-  locks_->ReleaseAll(txn);
-  {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    txns_.erase(txn);
-  }
+  locks_.ReleaseAll(txn);
+  RetireTxn(txn);
   stats_.txns_aborted.fetch_add(1);
   return Status::OK();
 }
@@ -1579,21 +1619,22 @@ Status TransactionComponent::TakeCheckpoint() {
   // Contract termination (§4.2): the log below min(RSSP, oldest active
   // txn begin) is no longer needed for redo or undo.
   Lsn oldest_active = granted_min;
-  {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    for (const auto& [id, state] : txns_) {
-      for (const auto& entry : state.undo_chain) {
+  for (TxnShard& shard : txn_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (const auto& [id, state] : shard.txns) {
+      std::lock_guard<std::mutex> state_guard(state->mu);
+      for (const auto& entry : state->history.undo_chain) {
         oldest_active = std::min(oldest_active, entry.lsn);
       }
     }
   }
   const Lsn keep_from = std::min(granted_min, oldest_active);
   if (keep_from > 1) log_.TruncatePrefix(keep_from - 1);
-  {
-    // Acked-rlsn records below the truncation point can never be resent
-    // again; drop them with the log they describe.
-    std::lock_guard<std::mutex> guard(out_mu_);
-    for (auto& [dc, acked] : acked_rlsns_) {
+  // Acked-rlsn records below the truncation point can never be resent
+  // again; drop them with the log they describe.
+  for (OpShard& shard : op_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (auto& [dc, acked] : shard.acked_rlsns) {
       acked.erase(acked.begin(), acked.lower_bound(keep_from));
     }
   }
@@ -1607,24 +1648,25 @@ void TransactionComponent::Crash() {
   crashed_.store(true);
   log_.Crash();
   // Wake every waiter with a crash indication; volatile state is gone.
-  std::map<Lsn, std::shared_ptr<OutstandingOp>> orphans;
   {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    orphans.swap(outstanding_);
-    inflight_keys_.clear();
-    window_counts_.clear();
-    // Acked-rlsn records are volatile: a restarted TC full-resends.
-    acked_rlsns_.clear();
     // The DC-recovering gates are volatile state too: Restart() performs
     // the full redo-resend itself, and a surviving gate would hold every
     // post-restart streamed scan forever.
+    std::lock_guard<std::mutex> guard(recovering_mu_);
     dc_recovering_.clear();
-    window_cv_.notify_all();
     dc_ready_cv_.notify_all();
   }
-  for (auto& [lsn, op] : orphans) {
-    op->completed = true;
+  std::vector<std::shared_ptr<OutstandingOp>> orphans;
+  for (OpShard& shard : op_shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (auto& [lsn, op] : shard.ops) orphans.push_back(std::move(op));
+    shard.ops.clear();
+    // Acked-rlsn records are volatile: a restarted TC full-resends.
+    shard.acked_rlsns.clear();
+  }
+  for (auto& op : orphans) {
     op->reply.status = Status::Crashed("tc crashed");
+    op->completed = true;
     op->done.Notify();
   }
   {
@@ -1644,11 +1686,24 @@ void TransactionComponent::Crash() {
     }
     streams_.clear();
   }
-  {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    txns_.clear();
+  // Transactions: wake submitters blocked on a window (they see crashed_)
+  // and break the op <-> state references of the dropped pipelines.
+  for (TxnShard& shard : txn_shards_) {
+    std::unordered_map<TxnId, std::shared_ptr<TxnState>> txns;
+    {
+      std::lock_guard<std::mutex> guard(shard.mu);
+      txns.swap(shard.txns);
+    }
+    for (auto& [id, state] : txns) {
+      std::lock_guard<std::mutex> guard(state->mu);
+      state->pending_ops.clear();
+      state->inflight_keys.clear();
+      state->window_counts.clear();
+      state->window_cv.notify_all();
+    }
   }
-  locks_ = std::make_unique<LockManager>(options_.locks);
+  // In place: client threads may be blocked inside Lock() right now.
+  locks_.Reset();
 }
 
 Status TransactionComponent::Analyze(AnalysisResult* out) {
@@ -1671,7 +1726,7 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
         if (rec.rssp > out->rssp) out->rssp = rec.rssp;
         break;
       case TcLogRecordType::kBegin:
-        out->losers[rec.txn] = TxnState{rec.txn, {}, {}, {}};
+        out->losers[rec.txn] = TxnHistory{};
         break;
       case TcLogRecordType::kOperation: {
         auto it = out->losers.find(rec.txn);
@@ -1717,11 +1772,15 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
   // Snapshot the acked-rlsn records for the target DC: ops the revived
   // DC's redo log already holds (recorded rlsn <= its surviving end) are
   // skipped below — the suffix-only resend.
-  std::map<Lsn, uint64_t> acked;
+  std::unordered_map<Lsn, uint64_t> acked;
   if (dc_redo_end != 0 && !all_dcs) {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    auto it = acked_rlsns_.find(only_dc);
-    if (it != acked_rlsns_.end()) acked = it->second;
+    for (OpShard& shard : op_shards_) {
+      std::lock_guard<std::mutex> guard(shard.mu);
+      auto it = shard.acked_rlsns.find(only_dc);
+      if (it != shard.acked_rlsns.end()) {
+        acked.insert(it->second.begin(), it->second.end());
+      }
+    }
   }
   const uint64_t begin =
       std::max<uint64_t>(from_lsn == 0 ? 0 : from_lsn - 1,
@@ -1806,21 +1865,16 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
       if (chunk.empty()) continue;
       std::vector<std::shared_ptr<OutstandingOp>> ops;
       ops.reserve(chunk.size());
-      {
-        std::lock_guard<std::mutex> guard(out_mu_);
-        const auto now = std::chrono::steady_clock::now();
-        for (const auto& req : chunk) {
-          auto op = std::make_shared<OutstandingOp>();
-          op->request = req;
-          op->dc = dc;
-          op->needs_seal = false;
-          // Stamp the send time: ResendPass must not judge the batch
-          // stale on its next tick and flood per-op resends while the
-          // batch message is legitimately in flight.
-          op->last_send = now;
-          outstanding_[req.lsn] = op;
-          ops.push_back(std::move(op));
-        }
+      for (const auto& req : chunk) {
+        auto op = std::make_shared<OutstandingOp>();
+        op->request = req;
+        op->dc = dc;
+        op->needs_seal = false;
+        // RegisterOp stamps the send time: ResendPass must not judge the
+        // batch stale on its next tick and flood per-op resends while the
+        // batch message is legitimately in flight.
+        RegisterOp(op);
+        ops.push_back(std::move(op));
       }
       // Send directly: the per-DC "recovering" gate only holds back the
       // background resend daemon, not the recovery driver itself.
@@ -1839,9 +1893,8 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
             std::max<uint32_t>(options_.resend_interval_ms, 10)))) {
           const auto now = std::chrono::steady_clock::now();
           if (now > deadline) {
-            std::lock_guard<std::mutex> guard(out_mu_);
             for (size_t j = i; j < ops.size(); ++j) {
-              outstanding_.erase(ops[j]->request.lsn);
+              ForgetOp(ops[j]->request.lsn);
             }
             return Status::TimedOut("recovery resend not acknowledged");
           }
@@ -1855,13 +1908,14 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
           // suffix are complete, so order is preserved; re-executions are
           // absorbed by the DC's idempotence.
           std::vector<OperationRequest> again;
-          {
-            std::lock_guard<std::mutex> guard(out_mu_);
-            for (size_t j = i; j < ops.size(); ++j) {
-              if (ops[j]->completed) continue;
+          for (size_t j = i; j < ops.size(); ++j) {
+            if (ops[j]->completed) continue;
+            {
+              std::lock_guard<std::mutex> guard(
+                  OpShardOf(ops[j]->request.lsn).mu);
               ops[j]->last_send = now;  // keep ResendPass off this batch
-              again.push_back(ops[j]->request);
             }
+            again.push_back(ops[j]->request);
           }
           if (again.empty()) continue;  // completed while assembling
           stats_.resends.fetch_add(1);
@@ -1874,9 +1928,8 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
           // remainder so the resend daemon doesn't hammer the down DC
           // with orphaned recovery ops nobody awaits. (The failed
           // recovery will be re-driven from the log.)
-          std::lock_guard<std::mutex> guard(out_mu_);
           for (size_t j = i + 1; j < ops.size(); ++j) {
-            outstanding_.erase(ops[j]->request.lsn);
+            ForgetOp(ops[j]->request.lsn);
           }
           return Status::Crashed("dc failed during recovery resend");
         }
@@ -1894,7 +1947,7 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
     // Any per-DC recovering gate predates the crash: this restart
     // redo-resends to every DC itself, and a stale gate would hold
     // post-restart streamed scans forever.
-    std::lock_guard<std::mutex> guard(out_mu_);
+    std::lock_guard<std::mutex> guard(recovering_mu_);
     dc_recovering_.clear();
     dc_ready_cv_.notify_all();
   }
@@ -1931,28 +1984,26 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
   if (!s.ok()) return s;
 
   // 3. Undo losers with inverse logical operations (CLR-logged).
-  {
-    std::lock_guard<std::mutex> guard(txn_mu_);
-    TxnId max_seen = next_txn_;
-    for (const auto& [id, state] : analysis.losers) {
-      max_seen = std::max(max_seen, id + 1);
+  for (const auto& [id, history] : analysis.losers) {
+    // Fresh ids must not collide with a loser's.
+    TxnId next = next_txn_.load();
+    while (next <= id && !next_txn_.compare_exchange_weak(next, id + 1)) {
     }
-    next_txn_ = max_seen;
   }
-  for (auto& [id, state] : analysis.losers) {
+  for (auto& [id, history] : analysis.losers) {
     // Skip operations already compensated by a stable CLR.
     const auto undone_it = analysis.undone.find(id);
     if (undone_it != analysis.undone.end()) {
       std::set<Lsn> undone(undone_it->second.begin(),
                            undone_it->second.end());
-      auto& chain = state.undo_chain;
+      auto& chain = history.undo_chain;
       chain.erase(std::remove_if(chain.begin(), chain.end(),
                                  [&undone](const UndoEntry& e) {
                                    return undone.count(e.lsn) > 0;
                                  }),
                   chain.end());
     }
-    s = UndoTxnLocked(&state);
+    s = UndoTxn(id, std::move(history.undo_chain));
     if (!s.ok()) return s;
     TcLogRecord rec;
     rec.type = TcLogRecordType::kAbort;
@@ -1987,13 +2038,13 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
 }
 
 void TransactionComponent::OnDcCrash(DcId dc) {
-  std::lock_guard<std::mutex> guard(out_mu_);
+  std::lock_guard<std::mutex> guard(recovering_mu_);
   dc_recovering_[dc] = true;
 }
 
 Status TransactionComponent::OnDcRestart(DcId dc) {
   {
-    std::lock_guard<std::mutex> guard(out_mu_);
+    std::lock_guard<std::mutex> guard(recovering_mu_);
     dc_recovering_[dc] = true;
   }
   PushControls();
@@ -2013,7 +2064,7 @@ Status TransactionComponent::OnDcRestart(DcId dc) {
   }
   Status s = RedoResend(rssp(), dc, /*all_dcs=*/false, dc_redo_end);
   {
-    std::lock_guard<std::mutex> guard(out_mu_);
+    std::lock_guard<std::mutex> guard(recovering_mu_);
     dc_recovering_[dc] = false;
     dc_ready_cv_.notify_all();
   }

@@ -12,6 +12,14 @@
 // Contract machinery (§4.2): unique request ids (LSNs), resend until
 // acknowledged, EOSL/LWM pushes, checkpoint (RSSP advancement), restart.
 //
+// Concurrency: no TC-global mutex sits on the per-operation path. Each
+// live transaction owns its pipeline state (TxnState: the §1.2 same-key
+// gate, the backpressure window, pending ops, undo history) under its own
+// mutex; the transaction table is striped by TxnId, the outstanding-op and
+// acked-rlsn tables by LSN, and the lock manager by lock name. Lock order:
+// txn shard -> TxnState::mu; an LSN shard is never held together with a
+// TxnState::mu.
+//
 // Failure model (§5.3): Crash() loses the volatile log tail and all
 // transaction state; Restart() resets each DC (which evicts exactly the
 // pages reflecting lost operations), replays redo by resending logged
@@ -20,6 +28,7 @@
 // RSSP to that DC, then normal traffic resumes.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -307,11 +316,13 @@ class TransactionComponent {
   Lsn low_water_mark() const { return log_.sealed_prefix_end(); }
   Lsn rssp() const;
   const TcStats& stats() const { return stats_; }
-  LockManagerStats lock_stats() const { return locks_->stats(); }
+  LockManagerStats lock_stats() const { return locks_.stats(); }
   StableLog* log() { return &log_; }
   const TcOptions& options() const { return options_; }
 
  private:
+  struct TxnState;
+
   struct OutstandingOp {
     OperationRequest request;
     TxnId txn = kInvalidTxnId;
@@ -320,15 +331,20 @@ class TransactionComponent {
     DcId dc = 0;
     Notification done;
     OperationReply reply;
-    /// Atomic: set under out_mu_ by the reply handler, but read lock-free
-    /// on fast paths (AwaitOp's flush check, prefetch-hit accounting).
+    /// Set, after `reply` is written, by whoever takes the op out of its
+    /// LSN shard (the reply handler or Crash()); read lock-free.
     std::atomic<bool> completed{false};
     /// False for recovery resends: the log record already exists.
     bool needs_seal = true;
-    /// Dispatched through the coalescing queue (Await must flush).
-    bool pipelined = false;
     /// Undo info already folded into the txn state (exactly once).
+    /// Guarded by pipeline->mu.
     bool harvested = false;
+    /// The owning transaction's pipeline, set only for pipelined ops
+    /// (dispatched through the coalescing queue; Await must flush). The
+    /// reply handler opens the key gate and returns the window slot
+    /// through it, with no table lookup.
+    std::shared_ptr<TxnState> pipeline;
+    /// Guarded by the op's LSN shard mutex.
     std::chrono::steady_clock::time_point last_send;
   };
 
@@ -341,49 +357,106 @@ class TransactionComponent {
     bool has_before;
   };
 
-  struct TxnState {
-    TxnId id;
+  /// What rollback (live, or at restart) must invert.
+  struct TxnHistory {
     std::vector<UndoEntry> undo_chain;
     std::vector<std::pair<TableId, std::string>> written_keys;
+  };
+
+  /// One live transaction, all of it guarded by `mu`, so concurrent
+  /// transactions never share a mutex on the op path. The gate is per
+  /// transaction because strict 2PL (and Commit/Abort's AwaitAll before
+  /// the locks go) already keeps conflicting ops of different
+  /// transactions out of flight together: only a transaction's own
+  /// pipelined ops can race each other on one key.
+  struct TxnState {
+    std::mutex mu;
+    /// Signaled when a window slot is returned, and by Crash().
+    std::condition_variable window_cv;
+    TxnHistory history;
     /// Submitted-not-yet-harvested ops, in submission (LSN) order.
     std::vector<std::shared_ptr<OutstandingOp>> pending_ops;
+    /// (table|key) -> this txn's in-flight pipelined ops touching it: the
+    /// §1.2 conflict gate.
+    std::unordered_map<std::string,
+                       std::vector<std::shared_ptr<OutstandingOp>>>
+        inflight_keys;
+    /// Unacknowledged pipelined ops per DC: the backpressure window.
+    std::map<DcId, uint32_t> window_counts;
   };
+
+  static constexpr size_t kTxnShards = 16;
+  static constexpr size_t kOpShards = 16;
+
+  struct alignas(64) TxnShard {
+    std::mutex mu;
+    std::unordered_map<TxnId, std::shared_ptr<TxnState>> txns;
+  };
+
+  struct alignas(64) OpShard {
+    std::mutex mu;
+    std::unordered_map<Lsn, std::shared_ptr<OutstandingOp>> ops;
+    /// Per DC: op lsn -> the redo-log rlsn the DC acked it at
+    /// (OperationReply::rlsn). Volatile (cleared by Crash — a restarted
+    /// TC conservatively full-resends); pruned at checkpoints alongside
+    /// the log.
+    std::map<DcId, std::map<Lsn, uint64_t>> acked_rlsns;
+  };
+
+  TxnShard& TxnShardOf(TxnId txn) { return txn_shards_[txn % kTxnShards]; }
+  OpShard& OpShardOf(Lsn lsn) { return op_shards_[lsn % kOpShards]; }
+
+  /// The live transaction `txn`, or nullptr.
+  std::shared_ptr<TxnState> FindTxn(TxnId txn);
+
+  /// Drops `txn` from the table and clears its op lists, so ops still in
+  /// flight no longer keep each other alive through the state.
+  void RetireTxn(TxnId txn);
+
+  /// Registers `op` in its LSN shard with a fresh send time.
+  void RegisterOp(const std::shared_ptr<OutstandingOp>& op);
+
+  /// Deregisters an op nobody will await any more.
+  void ForgetOp(Lsn lsn);
 
   DcId Route(TableId table, const std::string& key) const;
   DcClient* ClientFor(DcId dc) const;
 
-  /// Reserves an LSN, registers the outstanding op and fires it (through
-  /// the coalescing queue when pipelined). Locks must already be held for
-  /// conflicting operations. Returns nullptr on failure (TC crashed,
-  /// conflict-gate timeout, backpressure timeout) with the reason in
-  /// *error when provided.
-  std::shared_ptr<OutstandingOp> SubmitOp(OperationRequest req, TxnId txn,
-                                          TcLogRecordType record_type,
-                                          Lsn undo_target, bool pipelined,
-                                          Status* error = nullptr);
+  /// Reserves an LSN, registers the outstanding op and fires it. A
+  /// non-null `pipeline` makes it a pipelined op of that transaction: it
+  /// passes the key gate and the window, and goes through the coalescing
+  /// queue. Locks must already be held for conflicting operations.
+  /// Returns nullptr on failure (TC crashed, conflict-gate timeout,
+  /// backpressure timeout) with the reason in *error when provided.
+  std::shared_ptr<OutstandingOp> SubmitOp(
+      OperationRequest req, TxnId txn, std::shared_ptr<TxnState> pipeline,
+      TcLogRecordType record_type, Lsn undo_target, Status* error = nullptr);
 
   /// Flushes (for pipelined ops) and waits for the reply.
   StatusOr<OperationReply> AwaitOp(const std::shared_ptr<OutstandingOp>& op);
 
-  /// Folds a completed write reply into the transaction state (undo
-  /// chain + written keys), exactly once, and drops the op from the
-  /// txn's pending list.
+  /// Folds a completed pipelined write reply into its transaction's
+  /// history (undo chain + written keys), exactly once, and drops the op
+  /// from the txn's pending list.
   void HarvestReply(const std::shared_ptr<OutstandingOp>& op);
 
-  /// A conflicting pipelined submit must wait for in-flight ops on the
-  /// same key before dispatch (the §1.2 contract). False if a predecessor
-  /// never completed within the op timeout.
-  bool WaitForConflicts(const OperationRequest& req);
+  /// Awaits every pending op of `txn` (AwaitAll's body).
+  Status DrainPipeline(TxnState* txn);
+
+  /// A conflicting pipelined submit must wait for the transaction's
+  /// in-flight ops on the same key before dispatch (the §1.2 contract).
+  /// False if a predecessor never completed within the op timeout.
+  bool WaitForConflicts(TxnState* txn, const OperationRequest& req);
 
   /// Backpressure gate: blocks while `txn` already has
   /// max_outstanding_ops unacknowledged pipelined ops in flight to `dc`,
   /// then reserves one window slot. False if the window never drained
-  /// within the op timeout.
-  bool WaitForWindow(TxnId txn, DcId dc);
+  /// within the op timeout, or the TC crashed.
+  bool WaitForWindow(TxnState* txn, DcId dc);
 
   /// Returns a reserved window slot and wakes blocked submitters.
-  /// Caller must hold out_mu_.
-  void ReleaseWindowSlotLocked(TxnId txn, DcId dc);
+  /// Caller must hold txn->mu.
+  static void ReleaseWindowSlotLocked(TxnState* txn, DcId dc);
 
   /// Submit + await: the blocking call path.
   StatusOr<OperationReply> ExecuteOp(
@@ -463,13 +536,13 @@ class TransactionComponent {
                                       uint32_t timeout_ms);
 
   void ResendPass();
-  void SendToDc(const std::shared_ptr<OutstandingOp>& op, bool is_resend);
 
   Status LockForWrite(TxnId txn, TableId table, const std::string& key,
                       bool is_insert);
   Status LockForRead(TxnId txn, TableId table, const std::string& key);
 
-  Status UndoTxnLocked(TxnState* state);
+  /// Submits the inverse of `chain` in reverse LSN order, CLR-logged.
+  Status UndoTxn(TxnId txn, std::vector<UndoEntry> chain);
   Status FinishVersionedCommit(TxnId txn,
                                const std::vector<std::pair<TableId,
                                                            std::string>>&
@@ -478,7 +551,7 @@ class TransactionComponent {
   /// Analysis pass over the stable log (for Restart).
   struct AnalysisResult {
     Lsn rssp = 1;
-    std::map<TxnId, TxnState> losers;
+    std::map<TxnId, TxnHistory> losers;
     std::map<TxnId, std::vector<std::pair<TableId, std::string>>>
         committed_pending_promote;
     std::map<TxnId, std::vector<Lsn>> undone;  // CLR undo_targets per txn
@@ -487,8 +560,9 @@ class TransactionComponent {
 
   /// dc_redo_end != 0 (single-DC resends only): skip ops whose
   /// DC-acknowledged redo-log position (OperationReply::rlsn, recorded in
-  /// acked_rlsns_) is <= dc_redo_end — the revived DC already holds and
-  /// replayed/applied them, so only the in-flight suffix travels.
+  /// OpShard::acked_rlsns) is <= dc_redo_end — the revived DC already
+  /// holds and replayed/applied them, so only the in-flight suffix
+  /// travels.
   Status RedoResend(Lsn from_lsn, DcId only_dc, bool all_dcs,
                     uint64_t dc_redo_end = 0);
 
@@ -497,33 +571,22 @@ class TransactionComponent {
   Router router_;
 
   StableLog log_;
-  std::unique_ptr<LockManager> locks_;
+  LockManager locks_;
 
   std::atomic<bool> crashed_{false};
   std::atomic<bool> stopping_{false};
 
-  mutable std::mutex txn_mu_;
-  std::unordered_map<TxnId, TxnState> txns_;
-  TxnId next_txn_ = 1;
+  std::array<TxnShard, kTxnShards> txn_shards_;
+  std::atomic<TxnId> next_txn_{1};
 
-  std::mutex out_mu_;
-  std::map<Lsn, std::shared_ptr<OutstandingOp>> outstanding_;
-  /// Per DC: op lsn -> the redo-log rlsn the DC acked it at
-  /// (OperationReply::rlsn). Volatile (cleared by Crash — a restarted TC
-  /// conservatively full-resends); pruned at checkpoints alongside the
-  /// log. Guarded by out_mu_.
-  std::map<DcId, std::map<Lsn, uint64_t>> acked_rlsns_;
+  std::array<OpShard, kOpShards> op_shards_;
+
+  /// The DC-recovering gate: cold (DC crash/restart, resends, scans).
+  std::mutex recovering_mu_;
   std::map<DcId, bool> dc_recovering_;
   /// Signaled whenever a DC-recovering gate opens (redo finished, crash,
   /// restart): WaitDcReady blocks on this instead of sleep-polling.
   std::condition_variable dc_ready_cv_;
-  /// (table|key) -> in-flight ops touching it; pipelined conflict gate.
-  std::unordered_map<std::string, std::vector<std::shared_ptr<OutstandingOp>>>
-      inflight_keys_;
-  /// Unacknowledged pipelined ops per (txn, DC) — the backpressure
-  /// window. Signaled whenever a pipelined op completes.
-  std::map<std::pair<TxnId, DcId>, uint32_t> window_counts_;
-  std::condition_variable window_cv_;
 
   std::mutex stream_mu_;
   std::map<uint64_t, std::shared_ptr<ScanStream>> streams_;

@@ -10,11 +10,13 @@ void WaitForGraph::AddEdges(TxnId waiter, const std::vector<TxnId>& holders) {
   for (TxnId h : holders) {
     if (h != waiter) set.insert(h);
   }
+  waiters_.store(out_.size());
 }
 
 void WaitForGraph::RemoveWaiter(TxnId waiter) {
   std::lock_guard<std::mutex> guard(mu_);
   out_.erase(waiter);
+  waiters_.store(out_.size());
 }
 
 void WaitForGraph::RemoveTxn(TxnId txn) {
@@ -23,6 +25,13 @@ void WaitForGraph::RemoveTxn(TxnId txn) {
   for (auto& [waiter, holders] : out_) {
     holders.erase(txn);
   }
+  waiters_.store(out_.size());
+}
+
+void WaitForGraph::Clear() {
+  std::lock_guard<std::mutex> guard(mu_);
+  out_.clear();
+  waiters_.store(0);
 }
 
 std::vector<TxnId> WaitForGraph::FindCycleFrom(TxnId start) const {

@@ -2,6 +2,7 @@
 // Nodes are transactions; an edge A -> B means A waits for a lock B holds.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -31,12 +32,21 @@ class WaitForGraph {
   /// start). Empty vector = no deadlock.
   std::vector<TxnId> FindCycleFrom(TxnId start) const;
 
+  /// Drops every edge (the lock manager was reset).
+  void Clear();
+
+  /// True when no transaction is registered as waiting. Lock-free, so a
+  /// commit that never waited can skip RemoveTxn's graph walk; the caller
+  /// must order the check after every edge that could name its txn.
+  bool Empty() const { return waiters_.load() == 0; }
+
   /// Number of outgoing edges currently registered (for tests).
   size_t EdgeCount() const;
 
  private:
   mutable std::mutex mu_;
   std::unordered_map<TxnId, std::unordered_set<TxnId>> out_;
+  std::atomic<size_t> waiters_{0};  // out_.size(), published under mu_
 };
 
 }  // namespace untx

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <set>
 #include <thread>
 
 #include "tc/transaction_component.h"
@@ -142,6 +144,102 @@ TEST(LockManagerTest, StressManyThreadsManyKeys) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(granted.load(), 2000u);
+}
+
+TEST(LockManagerTest, DeadlockAcrossShardsDetected) {
+  // The table is striped by name; a cycle whose two names live in
+  // different shards must still be found, and nobody may hang.
+  const std::string a = RecordLockName(1, "a");
+  std::string b;
+  for (int i = 0; b.empty(); ++i) {
+    const std::string name = RecordLockName(1, "b" + std::to_string(i));
+    if (LockManager::ShardIndex(name) != LockManager::ShardIndex(a)) b = name;
+  }
+  LockManagerOptions options;
+  options.wait_timeout_ms = 20000;  // a missed cycle would sit this out
+  LockManager lm(options);
+  ASSERT_TRUE(lm.Lock(1, a, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Lock(2, b, LockMode::kExclusive).ok());
+  std::atomic<int> deadlocks{0};
+  std::atomic<int> granted{0};
+  auto contend = [&](TxnId txn, const std::string& name) {
+    Status s = lm.Lock(txn, name, LockMode::kExclusive);
+    if (s.IsDeadlock()) deadlocks.fetch_add(1);
+    if (s.ok()) granted.fetch_add(1);
+    lm.ReleaseAll(txn);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  std::thread t1(contend, 1, b);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread t2(contend, 2, a);
+  t1.join();
+  t2.join();
+  EXPECT_GE(deadlocks.load(), 1) << "one member of the cycle must abort";
+  EXPECT_EQ(deadlocks.load() + granted.load(), 2);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  const LockManagerStats stats = lm.stats();
+  EXPECT_EQ(stats.deadlocks, static_cast<uint64_t>(deadlocks.load()));
+  EXPECT_EQ(stats.timeouts, 0u);
+}
+
+TEST(LockManagerTest, StatsSumAcrossShards) {
+  // The stress workload above, with its counts read back through stats():
+  // 37 names spread over the shards, every Lock granted exactly once.
+  LockManager lm;
+  std::atomic<uint64_t> granted{0};
+  std::vector<std::thread> threads;
+  std::set<size_t> shards;
+  for (int i = 0; i < 37; ++i) {
+    shards.insert(
+        LockManager::ShardIndex(RecordLockName(1, std::to_string(i))));
+  }
+  ASSERT_GT(shards.size(), 1u);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&lm, &granted, t] {
+      for (int i = 0; i < 500; ++i) {
+        const TxnId txn = t * 1000 + i + 1;
+        const std::string key = std::to_string(i % 37);
+        if (lm.Lock(txn, RecordLockName(1, key), LockMode::kExclusive)
+                .ok()) {
+          granted.fetch_add(1);
+        }
+        lm.ReleaseAll(txn);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const LockManagerStats stats = lm.stats();
+  EXPECT_EQ(granted.load(), 2000u);
+  EXPECT_EQ(stats.acquisitions, 2000u);
+  EXPECT_LE(stats.waits, stats.acquisitions);
+  EXPECT_EQ(stats.deadlocks, 0u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.upgrades, 0u);
+}
+
+TEST(LockManagerTest, ResetWakesBlockedLock) {
+  // A TC crash resets the manager in place while a client thread is still
+  // blocked inside Lock(): the waiter must return, not touch freed state.
+  LockManagerOptions options;
+  options.wait_timeout_ms = 20000;
+  LockManager lm(options);
+  ASSERT_TRUE(lm.Lock(1, RecordLockName(1, "k"), LockMode::kExclusive).ok());
+  Status waited;
+  std::thread waiter([&] {
+    waited = lm.Lock(2, RecordLockName(1, "k"), LockMode::kShared);
+  });
+  while (lm.stats().waits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  lm.Reset();
+  waiter.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_TRUE(waited.IsCrashed()) << waited.ToString();
+  EXPECT_EQ(lm.HeldCount(1), 0u);
+  EXPECT_EQ(lm.stats().acquisitions, 0u);
+  // The reset manager is usable: the name is free again.
+  EXPECT_TRUE(lm.Lock(3, RecordLockName(1, "k"), LockMode::kExclusive).ok());
 }
 
 TEST(RangePartitionTest, PartitionOfRespectsBoundaries) {
