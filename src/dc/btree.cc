@@ -60,7 +60,9 @@ void StampDlsn(SlottedPage page, Frame* frame, DLsn dlsn) {
 
 BTree::BTree(StableStore* store, BufferPool* pool, DcLog* dc_log,
              BTreeOptions options)
-    : store_(store), pool_(pool), dc_log_(dc_log), options_(options) {}
+    : store_(store), pool_(pool), dc_log_(dc_log), options_(options) {
+  PublishRootsLocked({});
+}
 
 Status BTree::Bootstrap() {
   meta_pid_ = store_->Allocate();
@@ -73,7 +75,7 @@ Status BTree::Bootstrap() {
     // leave roots of the wiped catalog behind: the replayed CreateTable
     // is idempotent and would trust them.
     std::lock_guard<std::mutex> guard(root_mu_);
-    root_cache_.clear();
+    PublishRootsLocked({});
   }
   return s;
 }
@@ -94,24 +96,28 @@ Status BTree::LoadRootCache() {
   PinGuard pin(pool_, meta);
   SharedLatchGuard latch(&meta->latch);
   SlottedPage page = PageOf(meta);
-  std::lock_guard<std::mutex> guard(root_mu_);
-  root_cache_.clear();
+  RootMap roots;
   for (uint16_t i = 0; i < page.slot_count(); ++i) {
     TableId table;
     PageId root;
     if (DecodeCatalogEntry(page.PayloadAt(i), &table, &root)) {
-      root_cache_[table] = root;
+      roots[table] = root;
     }
   }
+  std::lock_guard<std::mutex> guard(root_mu_);
+  PublishRootsLocked(std::move(roots));
   return Status::OK();
 }
 
+void BTree::PublishRootsLocked(RootMap roots) {
+  root_versions_.push_back(std::make_unique<const RootMap>(std::move(roots)));
+  roots_.store(root_versions_.back().get(), std::memory_order_release);
+}
+
 StatusOr<PageId> BTree::GetRoot(TableId table) const {
-  std::lock_guard<std::mutex> guard(root_mu_);
-  auto it = root_cache_.find(table);
-  if (it == root_cache_.end()) {
-    return Status::NotFound("table not in catalog");
-  }
+  const RootMap* roots = roots_.load(std::memory_order_acquire);
+  auto it = roots->find(table);
+  if (it == roots->end()) return Status::NotFound("table not in catalog");
   return it->second;
 }
 
@@ -336,7 +342,9 @@ Status BTree::SetRootInMeta(TableId table, PageId root,
   FoldFloor(meta->ablsn, floor);
   {
     std::lock_guard<std::mutex> guard(root_mu_);
-    root_cache_[table] = root;
+    RootMap roots = *roots_.load(std::memory_order_relaxed);
+    roots[table] = root;
+    PublishRootsLocked(std::move(roots));
   }
   latch.Release();
   pool_->Unpin(meta);
@@ -345,12 +353,7 @@ Status BTree::SetRootInMeta(TableId table, PageId root,
 
 Status BTree::CreateTable(TableId table) {
   std::lock_guard<std::mutex> smo(smo_mu_);
-  {
-    std::lock_guard<std::mutex> guard(root_mu_);
-    if (root_cache_.count(table) > 0) {
-      return Status::AlreadyExists("table exists");
-    }
-  }
+  if (GetRoot(table).ok()) return Status::AlreadyExists("table exists");
   const PageId root_pid = store_->Allocate();
   Frame* root = pool_->Create(root_pid);
   {
@@ -825,10 +828,7 @@ Status BTree::ReplayStableSmoBatches() {
             }
             frame->latch.UnlockExclusive();
             pool_->Unpin(frame);
-            if (stale) {
-              pool_->Drop(rec.pid);
-              store_->Free(rec.pid);
-            }
+            if (stale) pool_->FreePage(rec.pid);
           }
           break;
         }

@@ -20,8 +20,10 @@
 // mirrored by an in-memory root cache rebuilt at recovery.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -140,8 +142,18 @@ class BTree {
   /// Serializes all structure modifications on this DC.
   std::mutex smo_mu_;
 
-  mutable std::mutex root_mu_;
-  std::map<TableId, PageId> root_cache_;
+  /// The root cache (table -> root page), copy-on-write: GetRoot reads
+  /// the published map with no lock, and writers publish a changed copy
+  /// under root_mu_. Superseded maps stay alive until the tree is gone (a
+  /// reader may still hold one); roots change only at table creation,
+  /// root splits and recovery reloads.
+  using RootMap = std::map<TableId, PageId>;
+  /// Publishes `roots` as the current map. Caller holds root_mu_.
+  void PublishRootsLocked(RootMap roots);
+
+  std::mutex root_mu_;
+  std::vector<std::unique_ptr<const RootMap>> root_versions_;
+  std::atomic<const RootMap*> roots_{nullptr};
 
   BTreeStats stats_;
 };

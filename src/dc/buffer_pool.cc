@@ -1,7 +1,6 @@
 #include "dc/buffer_pool.h"
 
 #include <cassert>
-#include <chrono>
 
 namespace untx {
 
@@ -9,38 +8,43 @@ BufferPool::BufferPool(StableStore* store, DcLog* dc_log,
                        BufferPoolOptions options)
     : store_(store), dc_log_(dc_log), options_(options) {}
 
+Frame* BufferPool::PinLocked(Frame* frame) {
+  frame->pins.fetch_add(1, std::memory_order_relaxed);
+  // Store only on change: a hot frame's line stays shared between hits.
+  const uint64_t now = use_clock_.load(std::memory_order_relaxed);
+  if (frame->last_use.load(std::memory_order_relaxed) != now) {
+    frame->last_use.store(now, std::memory_order_relaxed);
+  }
+  return frame;
+}
+
+Frame* BufferPool::PinCached(PageId pid) {
+  Shard& shard = ShardOf(pid);
+  std::shared_lock<std::shared_mutex> guard(shard.mu);
+  auto it = shard.frames.find(pid);
+  if (it == shard.frames.end()) return nullptr;
+  it->second->pins.fetch_add(1, std::memory_order_relaxed);
+  return it->second.get();
+}
+
 Status BufferPool::Fetch(PageId pid, Frame** out) {
+  Shard& shard = ShardOf(pid);
   {
-    std::lock_guard<std::mutex> guard(mu_);
-    ++stats_.fetches;
-    auto it = frames_.find(pid);
-    if (it != frames_.end()) {
-      ++stats_.hits;
-      Frame* frame = it->second.get();
-      ++frame->pins;
-      frame->last_use = ++use_clock_;
-      *out = frame;
+    std::shared_lock<std::shared_mutex> guard(shard.mu);
+    auto it = shard.frames.find(pid);
+    if (it != shard.frames.end()) {
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      *out = PinLocked(it->second.get());
       return Status::OK();
     }
   }
-  // Miss: read outside the pool mutex.
-  std::vector<char> data(store_->page_size());
-  Status s = store_->Read(pid, data.data());
-  if (!s.ok()) return s;
-
-  std::lock_guard<std::mutex> guard(mu_);
-  // Another thread may have raced the load.
-  auto it = frames_.find(pid);
-  if (it != frames_.end()) {
-    Frame* frame = it->second.get();
-    ++frame->pins;
-    frame->last_use = ++use_clock_;
-    *out = frame;
-    return Status::OK();
-  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  // Miss: read and decode outside the shard lock.
   auto frame = std::make_unique<Frame>();
   frame->pid = pid;
-  frame->data = std::move(data);
+  frame->data.resize(store_->page_size());
+  Status s = store_->Read(pid, frame->data.data());
+  if (!s.ok()) return s;
   // Recover the in-memory abLSN from the page-sync trailer.
   SlottedPage page = frame->Page(page_size(), trailer_capacity());
   Slice trailer = page.ReadTrailer();
@@ -50,51 +54,85 @@ Status BufferPool::Fetch(PageId pid, Frame** out) {
       frame->ablsn = std::move(ab);
     }
   }
-  frame->pins = 1;
-  frame->last_use = ++use_clock_;
-  Frame* raw = frame.get();
-  frames_[pid] = std::move(frame);
-  MaybeEvictLocked();
-  *out = raw;
+  frame->pins.store(1, std::memory_order_relaxed);
+  frame->last_use.store(use_clock_.fetch_add(1) + 1,
+                        std::memory_order_relaxed);
+  {
+    std::unique_lock<std::shared_mutex> guard(shard.mu);
+    // Another thread may have raced the load.
+    auto it = shard.frames.find(pid);
+    if (it != shard.frames.end()) {
+      *out = PinLocked(it->second.get());
+      return Status::OK();
+    }
+    *out = frame.get();
+    shard.frames.emplace(pid, std::move(frame));
+  }
+  frame_count_.fetch_add(1);
+  MaybeEvict();
   return Status::OK();
 }
 
 Frame* BufferPool::Create(PageId pid) {
-  std::lock_guard<std::mutex> guard(mu_);
   auto frame = std::make_unique<Frame>();
   frame->pid = pid;
   frame->data.assign(store_->page_size(), 0);
   frame->dirty = true;
-  frame->pins = 1;
-  frame->last_use = ++use_clock_;
+  frame->pins.store(1, std::memory_order_relaxed);
+  frame->last_use.store(use_clock_.fetch_add(1) + 1,
+                        std::memory_order_relaxed);
   Frame* raw = frame.get();
-  frames_[pid] = std::move(frame);
-  MaybeEvictLocked();
+  bool inserted;
+  {
+    Shard& shard = ShardOf(pid);
+    std::unique_lock<std::shared_mutex> guard(shard.mu);
+    auto [it, fresh] = shard.frames.try_emplace(pid);
+    // A freed id is reused only once its old frame is gone (FreePage).
+    assert(fresh || it->second->pins.load() == 0);
+    it->second = std::move(frame);
+    inserted = fresh;
+  }
+  if (inserted) frame_count_.fetch_add(1);
+  MaybeEvict();
   return raw;
 }
 
 void BufferPool::Unpin(Frame* frame) {
-  std::lock_guard<std::mutex> guard(mu_);
-  assert(frame->pins > 0);
-  --frame->pins;
+  const int before = frame->pins.fetch_sub(1, std::memory_order_release);
+  assert(before > 0);
+  (void)before;
 }
 
 bool BufferPool::Drop(PageId pid) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = frames_.find(pid);
-  if (it == frames_.end()) return true;
-  if (it->second->pins != 0) return false;
-  frames_.erase(it);
+  Shard& shard = ShardOf(pid);
+  std::unique_lock<std::shared_mutex> guard(shard.mu);
+  auto it = shard.frames.find(pid);
+  if (it == shard.frames.end()) return true;
+  if (it->second->pins.load(std::memory_order_acquire) != 0) return false;
+  shard.frames.erase(it);
+  frame_count_.fetch_sub(1);
   return true;
+}
+
+void BufferPool::FreePage(PageId pid) {
+  if (Drop(pid)) {
+    store_->Free(pid);
+    return;
+  }
+  std::lock_guard<std::mutex> guard(free_mu_);
+  deferred_frees_.push_back(pid);
 }
 
 void BufferPool::ForceDcLog() {
   std::vector<PageId> freed;
   dc_log_->ForceEligible(eosl_map(), &freed);
-  for (PageId pid : freed) {
-    Drop(pid);
-    store_->Free(pid);
+  {
+    // Retry the frees an earlier pass had to defer.
+    std::lock_guard<std::mutex> guard(free_mu_);
+    freed.insert(freed.end(), deferred_frees_.begin(), deferred_frees_.end());
+    deferred_frees_.clear();
   }
+  for (PageId pid : freed) FreePage(pid);
 }
 
 Status BufferPool::TryFlushLocked(Frame* frame) {
@@ -114,7 +152,7 @@ Status BufferPool::TryFlushLocked(Frame* frame) {
 
   PageSyncStrategy strategy = options_.strategy;
   {
-    std::lock_guard<std::mutex> guard(mu_);
+    std::lock_guard<std::mutex> guard(marks_mu_);
     // Gate (2): causality — every reflected TC op must be on the stable
     // TC log. Also fold in the freshest low-water marks (§5.1.2).
     for (const auto& [tc, lwm] : lwm_) {
@@ -149,9 +187,8 @@ Status BufferPool::TryFlushLocked(Frame* frame) {
       break;
   }
   if (!can_sync) {
-    std::lock_guard<std::mutex> guard(mu_);
     frame->flush_waiting = true;
-    ++stats_.flush_deferrals;
+    flush_deferrals_.fetch_add(1, std::memory_order_relaxed);
     return Status::Busy("page sync deferred until LWM advances");
   }
 
@@ -163,13 +200,9 @@ Status BufferPool::TryFlushLocked(Frame* frame) {
   frame->dirty = false;
   frame->first_op_lsn = 0;
   frame->rec_dlsn = 0;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    frame->flush_waiting = false;
-    stats_.trailer_bytes_written += trailer.size();
-    ++stats_.flushes;
-  }
-  sync_cv_.notify_all();
+  frame->flush_waiting = false;
+  trailer_bytes_written_.fetch_add(trailer.size(), std::memory_order_relaxed);
+  flushes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -178,14 +211,8 @@ size_t BufferPool::FlushAllEligible() {
   std::vector<PageId> pids = CachedPages();
   size_t still_dirty = 0;
   for (PageId pid : pids) {
-    Frame* frame = nullptr;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      auto it = frames_.find(pid);
-      if (it == frames_.end()) continue;
-      frame = it->second.get();
-      ++frame->pins;
-    }
+    Frame* frame = PinCached(pid);
+    if (frame == nullptr) continue;
     {
       ExclusiveLatchGuard latch(&frame->latch);
       if (frame->dirty && !TryFlushLocked(frame).ok()) {
@@ -199,35 +226,32 @@ size_t BufferPool::FlushAllEligible() {
 
 void BufferPool::OnEndOfStableLog(TcId tc, Lsn eosl) {
   {
-    std::lock_guard<std::mutex> guard(mu_);
+    std::lock_guard<std::mutex> guard(marks_mu_);
     Lsn& current = eosl_[tc];
     if (eosl > current) current = eosl;
   }
   ForceDcLog();
-  sync_cv_.notify_all();
 }
 
 void BufferPool::OnLowWaterMark(TcId tc, Lsn lwm) {
   {
-    std::lock_guard<std::mutex> guard(mu_);
+    std::lock_guard<std::mutex> guard(marks_mu_);
     if (lwm_allowed_.count(tc) == 0) return;  // not re-armed yet
     Lsn& current = lwm_[tc];
     if (lwm > current) current = lwm;
   }
   // Fold the new LWM into parked frames so strategy-1/3 flushes and
-  // blocked writers can make progress. Try-latch only: a frame busy in an
-  // operation will pick the LWM up at its next flush attempt.
-  std::vector<PageId> pids = CachedPages();
-  for (PageId pid : pids) {
-    Frame* frame = nullptr;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      auto it = frames_.find(pid);
-      if (it == frames_.end()) continue;
-      frame = it->second.get();
-      if (!frame->flush_waiting) continue;
-      ++frame->pins;
+  // blocked writers can make progress: one shared pass per shard pins
+  // them. Try-latch only: a frame busy in an operation will pick the LWM
+  // up at its next flush attempt.
+  std::vector<Frame*> parked;
+  ForEachFrame([&parked](Frame& frame) {
+    if (frame.flush_waiting) {
+      frame.pins.fetch_add(1, std::memory_order_relaxed);
+      parked.push_back(&frame);
     }
+  });
+  for (Frame* frame : parked) {
     if (frame->latch.TryLockExclusive()) {
       frame->ablsn.AdvanceTo(tc, lwm);
       // Re-attempt the parked flush right away.
@@ -236,64 +260,62 @@ void BufferPool::OnLowWaterMark(TcId tc, Lsn lwm) {
     }
     Unpin(frame);
   }
-  sync_cv_.notify_all();
 }
 
 Lsn BufferPool::eosl_for(TcId tc) const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   auto it = eosl_.find(tc);
   return it == eosl_.end() ? 0 : it->second;
 }
 
 Lsn BufferPool::lwm_for(TcId tc) const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   auto it = lwm_.find(tc);
   return it == lwm_.end() ? 0 : it->second;
 }
 
 std::map<TcId, Lsn> BufferPool::eosl_map() const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   return eosl_;
 }
 
 void BufferPool::AbandonParkedFlushes() {
-  std::lock_guard<std::mutex> guard(mu_);
-  for (auto& [pid, frame] : frames_) frame->flush_waiting = false;
-  sync_cv_.notify_all();
-}
-
-bool BufferPool::WaitWhileFlushWaiting(Frame* frame, uint32_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return sync_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                           [frame] { return !frame->flush_waiting; });
+  ForEachFrame([](Frame& frame) { frame.flush_waiting = false; });
 }
 
 std::vector<PageId> BufferPool::CachedPages() const {
-  std::lock_guard<std::mutex> guard(mu_);
   std::vector<PageId> pids;
-  pids.reserve(frames_.size());
-  for (const auto& [pid, frame] : frames_) pids.push_back(pid);
+  pids.reserve(frame_count_.load());
+  ForEachFrame([&pids](Frame& frame) { pids.push_back(frame.pid); });
   return pids;
 }
 
 Lsn BufferPool::MinDirtyFirstOpLsn() const {
-  std::lock_guard<std::mutex> guard(mu_);
   Lsn min = kMaxLsn;
-  for (const auto& [pid, frame] : frames_) {
-    if (frame->dirty && frame->first_op_lsn != 0 &&
-        frame->first_op_lsn < min) {
-      min = frame->first_op_lsn;
+  ForEachFrame([&min](Frame& frame) {
+    if (frame.dirty && frame.first_op_lsn != 0 && frame.first_op_lsn < min) {
+      min = frame.first_op_lsn;
     }
-  }
+  });
   return min;
 }
 
 void BufferPool::Clear() {
-  std::lock_guard<std::mutex> guard(mu_);
+  for (Shard& shard : shards_) {
+    std::unique_lock<std::shared_mutex> guard(shard.mu);
 #ifndef NDEBUG
-  for (const auto& [pid, frame] : frames_) assert(frame->pins == 0);
+    for (const auto& [pid, frame] : shard.frames) assert(frame->pins == 0);
 #endif
-  frames_.clear();
+    shard.frames.clear();
+  }
+  frame_count_.store(0);
+  {
+    // Every frame is gone now, so the frees that waited on a pin can run.
+    std::lock_guard<std::mutex> guard(free_mu_);
+    for (PageId pid : deferred_frees_) store_->Free(pid);
+    deferred_frees_.clear();
+  }
+  std::lock_guard<std::mutex> guard(marks_mu_);
   eosl_.clear();
   lwm_.clear();
   // Crash-revert: every TC must re-arm its LWM after redo resend.
@@ -301,23 +323,23 @@ void BufferPool::Clear() {
 }
 
 void BufferPool::AllowLwm(TcId tc) {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   lwm_allowed_.insert(tc);
 }
 
 void BufferPool::DisallowLwm(TcId tc) {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   lwm_allowed_.erase(tc);
   lwm_.erase(tc);
 }
 
 bool BufferPool::LwmAllowed(TcId tc) const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   return lwm_allowed_.count(tc) > 0;
 }
 
 bool BufferPool::ConsolidationSafe() const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<std::mutex> guard(marks_mu_);
   // Every TC this DC has heard from must have completed (re-armed after)
   // its redo; otherwise page merges could union time-skewed abLSNs.
   for (const auto& [tc, eosl] : eosl_) {
@@ -329,38 +351,57 @@ bool BufferPool::ConsolidationSafe() const {
   return true;
 }
 
-size_t BufferPool::FrameCount() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return frames_.size();
-}
+size_t BufferPool::FrameCount() const { return frame_count_.load(); }
 
 size_t BufferPool::DirtyCount() const {
-  std::lock_guard<std::mutex> guard(mu_);
   size_t n = 0;
-  for (const auto& [pid, frame] : frames_) {
-    if (frame->dirty) ++n;
-  }
+  ForEachFrame([&n](Frame& frame) { n += frame.dirty ? 1 : 0; });
   return n;
 }
 
-void BufferPool::MaybeEvictLocked() {
-  if (frames_.size() <= options_.capacity) return;
-  // Victim: the least-recently-used unpinned clean frame.
-  Frame* victim = nullptr;
-  for (auto& [pid, frame] : frames_) {
-    if (frame->pins == 0 && !frame->dirty &&
-        (victim == nullptr || frame->last_use < victim->last_use)) {
-      victim = frame.get();
+BufferPoolStats BufferPool::stats() const {
+  BufferPoolStats s;
+  for (const Shard& shard : shards_) s.hits += shard.hits.load();
+  s.fetches = s.hits + misses_.load();
+  s.flushes = flushes_.load();
+  s.flush_deferrals = flush_deferrals_.load();
+  s.evictions = evictions_.load();
+  s.overflows = overflows_.load();
+  s.trailer_bytes_written = trailer_bytes_written_.load();
+  return s;
+}
+
+void BufferPool::MaybeEvict() {
+  if (frame_count_.load() <= options_.capacity) return;
+  // Victim: the least recently used unpinned clean frame of one shard.
+  // Each call starts one shard further on and passes a shard with no
+  // candidate to the next, so it visits every shard before giving up.
+  const size_t start = evict_hand_.fetch_add(1);
+  for (size_t i = 0; i < kShards; ++i) {
+    // A concurrent eviction or drop may have made room already.
+    if (frame_count_.load() <= options_.capacity) return;
+    Shard& shard = shards_[(start + i) % kShards];
+    std::unique_lock<std::shared_mutex> guard(shard.mu);
+    auto victim = shard.frames.end();
+    for (auto it = shard.frames.begin(); it != shard.frames.end(); ++it) {
+      const Frame& frame = *it->second;
+      if (frame.pins.load(std::memory_order_acquire) == 0 && !frame.dirty &&
+          (victim == shard.frames.end() ||
+           frame.last_use.load(std::memory_order_relaxed) <
+               victim->second->last_use.load(std::memory_order_relaxed))) {
+        victim = it;
+      }
     }
-  }
-  if (victim != nullptr) {
-    ++stats_.evictions;
-    frames_.erase(victim->pid);
-    return;
+    if (victim != shard.frames.end()) {
+      shard.frames.erase(victim);
+      frame_count_.fetch_sub(1);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
   }
   // All candidates dirty or pinned: record the overflow; a later
   // FlushAllEligible pass will create clean victims.
-  ++stats_.overflows;
+  overflows_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace untx

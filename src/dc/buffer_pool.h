@@ -14,14 +14,23 @@
 //
 // A DC crash is BufferPool::Clear(): cached pages vanish; the stable
 // store and the stable DC log survive (§5.3).
+//
+// Concurrency: the hit path takes no pool-wide lock. Frames live in
+// page-id-striped shards, each a map behind a reader/writer lock: a hit
+// takes its shard's lock shared, and pins and recency are atomics, so
+// Unpin takes no lock at all. A miss inserts under the shard's exclusive
+// lock and then evicts from one shard at a time (the least recently used
+// unpinned clean frame there), shards taken in turn. The control marks
+// (EOSL, LWM, arming) have their own small mutex, off the hit path.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,7 +59,7 @@ struct BufferPoolOptions {
 };
 
 /// One cached page. Content (data/ablsn/dirty/rec fields) is guarded by
-/// `latch`; pins and recency are guarded by the pool mutex.
+/// `latch`; pins, recency and the parked-flush flag are atomics.
 struct Frame {
   PageId pid = kInvalidPageId;
   std::vector<char> data;
@@ -64,14 +73,17 @@ struct Frame {
   DLsn rec_dlsn = 0;
   /// True while a flush is parked waiting for the abLSN to shrink
   /// (strategy 1/3). Writes beyond the in-set must stall (§5.1.2(1)).
-  bool flush_waiting = false;
+  std::atomic<bool> flush_waiting{false};
   /// Set (under the exclusive latch) when an SMO merged this page away.
   /// Anyone who latches the frame afterwards must release and re-descend.
   bool retired = false;
 
-  // Pool-mutex-guarded bookkeeping.
-  int pins = 0;
-  uint64_t last_use = 0;
+  /// Changed only while the frame's shard lock is held (either mode) or
+  /// by the pin holder's Unpin; a frame is evicted or dropped only at 0
+  /// under the exclusive shard lock.
+  std::atomic<int> pins{0};
+  /// The pool's use clock at the last pin (it ticks once per miss).
+  std::atomic<uint64_t> last_use{0};
 
   SlottedPage Page(uint32_t page_size, uint32_t trailer_capacity) {
     return SlottedPage(data.data(), page_size, trailer_capacity);
@@ -111,6 +123,12 @@ class BufferPool {
   /// unreachable once the parent pointer is gone). No-op => true.
   bool Drop(PageId pid);
 
+  /// Drops the page's frame and returns its id to the store. If the
+  /// frame is still pinned the free waits for a later ForceDcLog (or
+  /// Clear): the store reuses freed ids, and a new page created under
+  /// the id would otherwise replace a frame someone still holds.
+  void FreePage(PageId pid);
+
   /// Forces eligible DC-log batches and executes their deferred page
   /// frees against the store (consolidation, §5.2.2 "Page Deletes").
   void ForceDcLog();
@@ -148,10 +166,6 @@ class BufferPool {
   Lsn lwm_for(TcId tc) const;
   std::map<TcId, Lsn> eosl_map() const;
 
-  /// Blocks until `frame->flush_waiting` clears or timeout. The caller
-  /// must NOT hold the frame latch.
-  bool WaitWhileFlushWaiting(Frame* frame, uint32_t timeout_ms);
-
   /// Clears every parked flush (strategy-1 §5.1.2 back-pressure). Used
   /// by redo-stream replay: there the refusal can deadlock — the stream
   /// applies in strict order, so the control that would collapse the
@@ -173,24 +187,60 @@ class BufferPool {
 
   size_t FrameCount() const;
   size_t DirtyCount() const;
-  const BufferPoolStats& stats() const { return stats_; }
+  /// A snapshot of the counters.
+  BufferPoolStats stats() const;
 
  private:
-  /// Must hold mu_. Evicts one victim if over capacity.
-  void MaybeEvictLocked();
+  static constexpr size_t kShards = 16;
+
+  struct alignas(64) Shard {
+    mutable std::shared_mutex mu;
+    std::unordered_map<PageId, std::unique_ptr<Frame>> frames;
+    std::atomic<uint64_t> hits{0};
+  };
+
+  Shard& ShardOf(PageId pid) { return shards_[pid % kShards]; }
+  /// Pins a frame found under its shard lock and stamps its recency.
+  Frame* PinLocked(Frame* frame);
+  /// Pins the cached frame for `pid` without counting a fetch; nullptr
+  /// if it is not cached.
+  Frame* PinCached(PageId pid);
+  /// Evicts one victim if the pool is over capacity. Takes shard locks
+  /// one at a time; the caller holds none.
+  void MaybeEvict();
+  /// Calls fn(Frame&) on every cached frame, holding one shard lock
+  /// (shared) at a time.
+  template <typename Fn>
+  void ForEachFrame(Fn fn) const {
+    for (const Shard& shard : shards_) {
+      std::shared_lock<std::shared_mutex> guard(shard.mu);
+      for (const auto& [pid, frame] : shard.frames) fn(*frame);
+    }
+  }
 
   StableStore* store_;
   DcLog* dc_log_;
   BufferPoolOptions options_;
 
-  mutable std::mutex mu_;
-  std::condition_variable sync_cv_;
-  std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
+  Shard shards_[kShards];
+  std::atomic<size_t> frame_count_{0};
+  std::atomic<uint64_t> use_clock_{0};
+  std::atomic<size_t> evict_hand_{0};
+
+  mutable std::mutex marks_mu_;  // guards eosl_, lwm_, lwm_allowed_
   std::map<TcId, Lsn> eosl_;
   std::map<TcId, Lsn> lwm_;
   std::set<TcId> lwm_allowed_;
-  uint64_t use_clock_ = 0;
-  BufferPoolStats stats_;
+
+  std::mutex free_mu_;
+  std::vector<PageId> deferred_frees_;  // freed pages still pinned
+
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> flushes_{0};
+  std::atomic<uint64_t> flush_deferrals_{0};
+  std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> overflows_{0};
+  std::atomic<uint64_t> trailer_bytes_written_{0};
 };
 
 /// RAII pin holder.

@@ -1204,8 +1204,10 @@ Status DataComponent::DoTcCheckpoint(TcId /*tc*/, Lsn new_rssp) {
     for (PageId pid : pool_->CachedPages()) {
       Frame* frame = nullptr;
       if (!pool_->Fetch(pid, &frame).ok()) continue;
+      frame->latch.LockShared();  // operations and flushes write these
       const bool blocking = frame->dirty && frame->first_op_lsn != 0 &&
                             frame->first_op_lsn < new_rssp;
+      frame->latch.UnlockShared();
       pool_->Unpin(frame);
       if (blocking) {
         remaining = true;
@@ -1229,9 +1231,11 @@ Status DataComponent::DoDcCheckpoint() {
   for (PageId pid : pool_->CachedPages()) {
     Frame* frame = nullptr;
     if (!pool_->Fetch(pid, &frame).ok()) continue;
+    frame->latch.LockShared();
     if (frame->dirty && frame->rec_dlsn != 0 && frame->rec_dlsn < min_rec) {
       min_rec = frame->rec_dlsn;
     }
+    frame->latch.UnlockShared();
     pool_->Unpin(frame);
   }
   dc_log_->TruncateBelow(min_rec);

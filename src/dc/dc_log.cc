@@ -55,11 +55,11 @@ void DcLog::AppendBatch(std::vector<DcLogRecord>* records,
 
   auto append_one = [this](DcLogRecord* rec) {
     std::string payload;
-    const uint64_t index = log_.Reserve();
-    rec->dlsn = index + 1;  // dLSN is 1-based log position
+    const StableLog::Reservation slot = log_.Reserve();
+    rec->dlsn = slot.index + 1;  // dLSN is 1-based log position
     rec->EncodeTo(&payload);
-    log_.Seal(index, std::move(payload));
-    return index;
+    log_.Seal(slot, std::move(payload));
+    return slot.index;
   };
 
   batch.first_index = append_one(&begin);

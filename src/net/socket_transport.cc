@@ -234,8 +234,10 @@ bool SocketConnection::Send(const std::string& frame) {
     // Drain greedily so the common (uncongested) case never waits for
     // the reactor's POLLOUT round.
     while (out_pos_ < out_.size()) {
-      const ssize_t n = write(fd_, out_.data() + out_pos_,
-                              out_.size() - out_pos_);
+      // MSG_NOSIGNAL: a DC that died mid-write must surface as EPIPE,
+      // not as a SIGPIPE that kills the whole TC process.
+      const ssize_t n = send(fd_, out_.data() + out_pos_,
+                             out_.size() - out_pos_, MSG_NOSIGNAL);
       if (n > 0) {
         out_pos_ += static_cast<size_t>(n);
         continue;
@@ -518,8 +520,8 @@ void SocketReactor::WriteReady(SocketConnection* c) {
   std::lock_guard<std::mutex> guard(c->send_mu_);
   if (c->fd_ < 0 || c->state_ != SocketConnection::State::kConnected) return;
   while (c->out_pos_ < c->out_.size()) {
-    const ssize_t n = write(c->fd_, c->out_.data() + c->out_pos_,
-                            c->out_.size() - c->out_pos_);
+    const ssize_t n = send(c->fd_, c->out_.data() + c->out_pos_,
+                           c->out_.size() - c->out_pos_, MSG_NOSIGNAL);
     if (n > 0) {
       c->out_pos_ += static_cast<size_t>(n);
       continue;

@@ -189,7 +189,8 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
     rec.undo_target = op->undo_target;
     std::string payload;
     rec.EncodeTo(&payload);
-    log_.Seal(op->request.lsn - 1, std::move(payload));
+    // Dropped by the log if a TC crash came after the reservation.
+    log_.Seal(op->log_slot, std::move(payload));
   }
   op->done.Notify();
 }
@@ -949,9 +950,9 @@ TransactionComponent::SubmitOp(OperationRequest req, TxnId txn,
   }
 
   auto op = std::make_shared<OutstandingOp>();
-  const uint64_t index = log_.Reserve();
+  op->log_slot = log_.Reserve();
   req.tc_id = options_.tc_id;
-  req.lsn = index + 1;
+  req.lsn = op->log_slot.index + 1;
   req.versioned = req.versioned && IsWriteOp(req.op);
   op->request = req;
   op->txn = txn;
@@ -1465,8 +1466,9 @@ Status TransactionComponent::FinishVersionedCommit(
         req.table_id = keys[k].first;
         req.key = keys[k].second;
         req.tc_id = options_.tc_id;
-        req.lsn = log_.Reserve() + 1;
         auto op = std::make_shared<OutstandingOp>();
+        op->log_slot = log_.Reserve();
+        req.lsn = op->log_slot.index + 1;
         op->request = req;
         op->txn = txn;
         op->dc = dc;

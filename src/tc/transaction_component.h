@@ -336,6 +336,8 @@ class TransactionComponent {
     std::atomic<bool> completed{false};
     /// False for recovery resends: the log record already exists.
     bool needs_seal = true;
+    /// The log position request.lsn names; sealed by the reply handler.
+    StableLog::Reservation log_slot;
     /// Undo info already folded into the txn state (exactly once).
     /// Guarded by pipeline->mu.
     bool harvested = false;

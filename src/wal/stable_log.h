@@ -14,14 +14,29 @@
 // prefix — an unsealed record blocks durability of everything after it,
 // which is exactly the paper's low-water-mark structure: everything at or
 // below the force point has completed.
+//
+// Concurrency: Reserve/Seal/Append take no log-wide mutex. Records live
+// in fixed-size segments that never move, found through a small directory
+// that grows on demand. Reserve is an atomic claim of the next index
+// (halfway through a segment it also installs the next one, ahead of
+// need); Seal stores the payload, then release-stores the record's sealed
+// flag, which Force acquire-loads. Only force, crash, clear, truncation,
+// segment installs and file I/O serialise on `mu_`. The few changes that
+// move or reset records under the appenders' feet (directory growth,
+// Crash, Clear) first drain them: each appender is counted in a
+// per-thread-striped gate while it touches the log, and the change waits
+// for every stripe to empty. A crash or clear starts a new epoch; a
+// reservation carries the epoch it was made in, so a late Seal of a
+// pre-crash reservation is dropped instead of landing on a reused index.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -42,15 +57,24 @@ struct StableLogOptions {
 
 class StableLog {
  public:
+  /// A claimed, not yet sealed log position, tied to the log epoch it
+  /// was claimed in (Crash() and Clear() each start a new epoch).
+  struct Reservation {
+    uint64_t index = 0;
+    uint64_t epoch = 0;
+  };
+
   explicit StableLog(StableLogOptions options = {});
   ~StableLog();
 
   /// Claims the next index with no payload yet. The record is volatile
   /// and unsealed; Force() cannot pass it.
-  uint64_t Reserve();
+  Reservation Reserve();
 
-  /// Provides the payload for a reserved index and seals it.
-  void Seal(uint64_t index, std::string payload);
+  /// Provides the payload for a reserved index and seals it. Returns
+  /// false, and stores nothing, if a Crash() or Clear() came between the
+  /// reservation and this call: that index is gone or already reused.
+  bool Seal(const Reservation& reservation, std::string payload);
 
   /// Reserve + Seal in one step.
   uint64_t Append(std::string payload);
@@ -94,13 +118,30 @@ class StableLog {
   uint64_t force_count() const;
 
  private:
+  /// 1024 records per segment (40 KB): a lightly used log costs one
+  /// small allocation, and the directory holds one pointer per 1024.
+  /// Records are not padded to cache lines: padding cost more in memory
+  /// traffic than the false sharing it saved.
+  static constexpr uint64_t kSegmentRecords = 1024;
+  static constexpr size_t kStripes = 16;
+
   struct Record {
     std::string payload;
-    bool sealed = false;
+    std::atomic<bool> sealed{false};
   };
+  struct Segment {
+    Record records[kSegmentRecords];
+  };
+  /// An appender gate stripe: how many appenders of the threads mapped
+  /// here are inside the log, plus their byte count.
+  struct alignas(64) Stripe {
+    std::atomic<uint32_t> active{0};
+    std::atomic<uint64_t> bytes{0};
+  };
+  class AppendScope;
 
-  /// Replays an existing backing file into records_/base_/stable_end_,
-  /// truncating a torn tail. Called from the constructor only.
+  /// Replays an existing backing file into the segments, base_ and
+  /// stable_end_, truncating a torn tail. Called from the constructor only.
   void LoadFile();
   /// Appends records [from, to) (already sealed) to the backing file and
   /// flushes to the kernel. Caller holds mu_.
@@ -108,15 +149,52 @@ class StableLog {
   /// Appends a truncate-prefix marker. Caller holds mu_.
   void PersistTruncateLocked(uint64_t index);
 
+  /// The record at `index`, or nullptr if its segment is not installed
+  /// (or already truncated). Callers hold mu_ or are inside an
+  /// AppendScope whose index is at or past stable_end.
+  Record* RecordAt(uint64_t index) const;
+  bool SealedAt(uint64_t index) const;
+  /// Installs segment `k` (allocated by the caller, outside the lock)
+  /// unless the epoch ended or it is already there. Called outside any
+  /// AppendScope.
+  void InstallSegment(uint64_t k, uint64_t epoch,
+                      std::unique_ptr<Segment> segment);
+  void InstallSegmentLocked(uint64_t k, std::unique_ptr<Segment> segment);
+  /// Re-bases the directory at the first live segment with room for `k`
+  /// and twice the live span. Caller holds mu_; drains the appenders.
+  void GrowDirectoryLocked(uint64_t k);
+  /// Blocks new appenders and waits for the ones inside to leave. Caller
+  /// holds mu_; UndrainAppenders() reopens the gate.
+  void DrainAppenders();
+  void UndrainAppenders();
+
   StableLogOptions options_;
   std::FILE* file_ = nullptr;
+
+  /// Serialises force, crash, clear, truncation, segment installs and
+  /// file I/O.
   mutable std::mutex mu_;
   std::condition_variable stable_cv_;
-  std::vector<Record> records_;  // records_[i] is log index base_ + i
-  uint64_t base_ = 0;            // first retained index
-  uint64_t stable_end_ = 0;
-  uint64_t bytes_appended_ = 0;
-  uint64_t force_count_ = 0;
+
+  // Appender gate: `draining_` is set (under mu_) while a change that
+  // moves records runs; the stripes count the appenders inside.
+  std::atomic<bool> draining_{false};
+  Stripe stripes_[kStripes];
+
+  /// Next index to hand out. Bumped by appenders; reset only drained.
+  std::atomic<uint64_t> tail_{0};
+  /// Changes only drained, so appenders read it without a lock.
+  uint64_t epoch_ = 1;
+  /// dir_[k] holds segment seg_base_ + k (owned; nullptr = not installed
+  /// or truncated). Entries are set and cleared under mu_; the array and
+  /// seg_base_ change only drained.
+  std::unique_ptr<std::atomic<Segment*>[]> dir_;
+  uint64_t dir_size_ = 0;
+  uint64_t seg_base_ = 0;
+
+  uint64_t base_ = 0;  // first retained index; guarded by mu_
+  std::atomic<uint64_t> stable_end_{0};  // written under mu_
+  uint64_t force_count_ = 0;             // guarded by mu_
 };
 
 }  // namespace untx

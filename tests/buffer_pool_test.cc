@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#include "common/random.h"
 #include "dc/dc_log.h"
 #include "storage/stable_store.h"
 
@@ -221,6 +227,124 @@ TEST_F(BufferPoolTest, EvictionPrefersCleanLru) {
   Frame* back = nullptr;
   ASSERT_TRUE(pool.Fetch(pids[0], &back).ok());
   pool.Unpin(back);
+}
+
+// ForceDcLog executes a consolidation's deferred page free. While a
+// reader still pins the freed page's retired frame (the injected long
+// pin), the id must stay allocated: the store hands freed ids out again
+// LIFO, and a page created under the id would replace the pinned frame.
+TEST_F(BufferPoolTest, FreeOfPinnedPageWaitsForItsFrame) {
+  BufferPool pool = MakePool(PageSyncStrategy::kStoreFull);
+  const PageId pid = store_.Allocate();
+  Frame* held = MakeDirtyPage(&pool, pid, 1, 10);  // the long pin
+  std::vector<DcLogRecord> recs(1);
+  recs[0].type = DcLogRecordType::kPageFree;
+  recs[0].pid = pid;
+  dc_log_.AppendBatch(&recs, {}, {pid});
+  pool.ForceDcLog();  // the batch is stable: its free is due
+  const PageId next = store_.Allocate();
+  EXPECT_NE(next, pid) << "a pinned frame's page id was reused";
+  Frame* again = nullptr;
+  ASSERT_TRUE(pool.Fetch(pid, &again).ok());
+  EXPECT_EQ(again, held) << "the pinned frame must still be the cached one";
+  pool.Unpin(again);
+  pool.Unpin(held);  // the pin drains
+  pool.ForceDcLog();  // the deferred free runs now
+  EXPECT_EQ(store_.Allocate(), pid) << "freed once the frame is gone";
+  EXPECT_EQ(pool.FrameCount(), 0u);
+}
+
+// Four threads fetch and unpin cached pages (mostly hits) while a small
+// capacity forces eviction on every miss, a fifth thread drops frames and
+// a sixth runs flush passes. A frame is never evicted or dropped while
+// pinned (ASan sees a use-after-free otherwise; without it, the pinned
+// frame would change identity), pins never go negative, and the counters
+// add up.
+TEST_F(BufferPoolTest, ConcurrentHitsRaceEvictionAndDrop) {
+  BufferPoolOptions options;
+  options.capacity = 24;
+  options.strategy = PageSyncStrategy::kStoreFull;
+  BufferPool pool(&store_, &dc_log_, options);
+  pool.OnEndOfStableLog(1, 1000);
+  constexpr int kPages = 48;
+  std::vector<PageId> pids;
+  for (int i = 0; i < kPages; ++i) {
+    const PageId pid = store_.Allocate();
+    pids.push_back(pid);
+    Frame* frame = MakeDirtyPage(&pool, pid, 1, 10);
+    {
+      ExclusiveLatchGuard latch(&frame->latch);
+      ASSERT_TRUE(pool.TryFlushLocked(frame).ok());
+    }
+    pool.Unpin(frame);
+  }
+  const BufferPoolStats before = pool.stats();
+
+  constexpr int kReaders = 4;
+  constexpr int kFetchesPerReader = 20000;
+  std::atomic<int> readers_done{0};
+  std::atomic<int> bad_pins{0};
+  std::atomic<int> wrong_frames{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Random rnd(100 + t);
+      for (int i = 0; i < kFetchesPerReader; ++i) {
+        // Skewed: a quarter of the pages take most fetches (hits).
+        const PageId pid = pids[rnd.Uniform(4) == 0 ? rnd.Uniform(kPages)
+                                                     : rnd.Uniform(12)];
+        Frame* frame = nullptr;
+        if (!pool.Fetch(pid, &frame).ok()) {
+          wrong_frames.fetch_add(1);
+          continue;
+        }
+        if (frame->pins.load() < 1) bad_pins.fetch_add(1);
+        {
+          SharedLatchGuard latch(&frame->latch);
+          const SlottedPage page =
+              frame->Page(pool.page_size(), pool.trailer_capacity());
+          if (frame->pid != pid || page.page_id() != pid) {
+            wrong_frames.fetch_add(1);
+          }
+        }
+        std::this_thread::yield();
+        if (frame->pid != pid) wrong_frames.fetch_add(1);
+        pool.Unpin(frame);
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    Random rnd(7);
+    while (readers_done.load() < kReaders) {
+      pool.Drop(pids[rnd.Uniform(kPages)]);
+      std::this_thread::yield();
+    }
+  });
+  threads.emplace_back([&] {
+    while (readers_done.load() < kReaders) {
+      pool.FlushAllEligible();
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(bad_pins.load(), 0);
+  EXPECT_EQ(wrong_frames.load(), 0);
+  const BufferPoolStats after = pool.stats();
+  EXPECT_EQ(after.fetches - before.fetches,
+            static_cast<uint64_t>(kReaders) * kFetchesPerReader);
+  EXPECT_GT(after.hits - before.hits, 0u);
+  EXPECT_GT(after.evictions - before.evictions, 0u);
+  EXPECT_EQ(after.overflows, before.overflows) << "every frame was clean";
+  EXPECT_LE(pool.FrameCount(), options.capacity);
+  // Every pin was returned: each cached frame pins to exactly 1 now.
+  for (PageId pid : pool.CachedPages()) {
+    Frame* frame = nullptr;
+    ASSERT_TRUE(pool.Fetch(pid, &frame).ok());
+    EXPECT_EQ(frame->pins.load(), 1) << "page " << pid;
+    pool.Unpin(frame);
+  }
 }
 
 TEST_F(BufferPoolTest, ClearDropsEverything) {
