@@ -141,15 +141,11 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
   OperationReply reply;
   reply.tc_id = req.tc_id;
   reply.lsn = req.lsn;
+  ActiveOp active(this);
   if (crashed_.load()) {
     reply.status = Status::Crashed("dc is down");
     return reply;
   }
-  active_ops_.fetch_add(1);
-  struct OpGuard {
-    DataComponent* dc;
-    ~OpGuard() { dc->EndOp(); }
-  } guard{this};
 
   stats_.ops.fetch_add(1);
   if (req.value.size() > options_.max_value_size) {
@@ -303,9 +299,16 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
 
   // Write path. Sentinel first: detects conflicting concurrent sends
   // (a TC bug) and serializes duplicate resends of the same op.
-  bool duplicate_in_flight = false;
-  if (!EnterSentinel(req, &duplicate_in_flight)) {
-    if (duplicate_in_flight) {
+  std::pair<TcId, Lsn> holder;
+  if (!EnterSentinel(req, &holder)) {
+    // Not a conflict: a resend racing its original, or a conflict whose
+    // holder or requester is a stale duplicate — an op at or below its
+    // TC's LWM was acked long ago, and once pruning has dropped its
+    // cached reply a late channel copy reaches the sentinel. Either way
+    // the other side finishes soon; retry behind it.
+    if (holder.first == req.tc_id &&
+        (holder.second == req.lsn ||
+         std::min(holder.second, req.lsn) <= pool_->lwm_for(req.tc_id))) {
       out->need_retry = true;
       reply.status = Status::Busy("duplicate in flight");
     } else {
@@ -882,11 +885,7 @@ void DataComponent::ProduceScanChunks(
     const std::shared_ptr<ScanCursor>& cursor, const ScanChunkEmitter& emit,
     const ScanCreditRequest* credit) {
   std::lock_guard<std::mutex> cursor_guard(cursor->mu);
-  active_ops_.fetch_add(1);
-  struct OpGuard {
-    DataComponent* dc;
-    ~OpGuard() { dc->EndOp(); }
-  } guard{this};
+  ActiveOp active(this);
 
   cursor->last_active_ms.store(SteadyNowMs());
   if (credit != nullptr) {
@@ -1092,6 +1091,9 @@ ControlReply DataComponent::Control(const ControlRequest& req) {
   reply.type = req.type;
   reply.tc_id = req.tc_id;
   reply.seq = req.seq;
+  // Counted like an operation: checkpoints and resets hold pinned frames
+  // that a crash must not clear under them.
+  ActiveOp active(this);
   if (crashed_.load()) {
     reply.status = Status::Crashed("dc is down");
     return reply;
@@ -1199,6 +1201,8 @@ Status DataComponent::DoTcCheckpoint(TcId /*tc*/, Lsn new_rssp) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (;;) {
+    // A crash waits for this control to finish: give up at once.
+    if (crashed_.load()) return Status::Crashed("dc went down mid-checkpoint");
     pool_->FlushAllEligible();
     bool remaining = false;
     for (PageId pid : pool_->CachedPages()) {
@@ -1279,9 +1283,8 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
       }
       frame->latch.UnlockExclusive();
       pool_->Unpin(frame);
-      for (int i = 0; i < 1000 && !pool_->Drop(pid); ++i) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      Status dropped = DropForReset(pid);
+      if (!dropped.ok()) return dropped;
       stats_.pages_reset_dropped.fetch_add(1);
     }
   }
@@ -1334,10 +1337,8 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
     frame->latch.UnlockExclusive();
     pool_->Unpin(frame);
     if (drop) {
-      // The frame may be briefly pinned by a racing read; retry.
-      for (int i = 0; i < 1000 && !pool_->Drop(pid); ++i) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      Status dropped = DropForReset(pid);
+      if (!dropped.ok()) return dropped;
     }
   }
   // Evicted structure pages whose SMOs are on the stable DC log must be
@@ -1367,6 +1368,22 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
     for (TcId victim : escalate_set) redo_fresh_max_.erase(victim);
   }
   *escalate = std::move(escalate_set);
+  return Status::OK();
+}
+
+Status DataComponent::DropForReset(PageId pid) {
+  // A racing read may pin the frame briefly: wait that out. A pin held
+  // past the wait would leave pre-reset state in the cache, so the reset
+  // fails instead of carrying on as if the page were gone.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (!pool_->Drop(pid)) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return Status::TimedOut("reset could not drop pinned page " +
+                              std::to_string(pid));
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   return Status::OK();
 }
 
@@ -1517,17 +1534,13 @@ void DataComponent::PruneReplies(TcId tc, Lsn lwm) {
 }
 
 bool DataComponent::EnterSentinel(const OperationRequest& req,
-                                  bool* duplicate_in_flight) {
-  *duplicate_in_flight = false;
+                                  std::pair<TcId, Lsn>* holder) {
   if (!options_.conflict_sentinel) return true;
   std::lock_guard<std::mutex> guard(sentinel_mu_);
   const std::string key = SentinelKey(req.table_id, req.key);
   auto [it, inserted] = in_flight_.try_emplace(key, req.tc_id, req.lsn);
-  if (inserted) return true;
-  if (it->second == std::make_pair(req.tc_id, req.lsn)) {
-    *duplicate_in_flight = true;  // a resend racing the original
-  }
-  return false;
+  if (!inserted) *holder = it->second;
+  return inserted;
 }
 
 void DataComponent::ExitSentinel(const OperationRequest& req) {

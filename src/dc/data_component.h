@@ -308,6 +308,10 @@ class DataComponent : public DcService {
   Status DoDcCheckpoint();
   Status DoReset(TcId tc, Lsn stable_end, std::vector<TcId>* escalate);
 
+  /// Drops pid's cached frame for a reset, waiting up to 100 ms for
+  /// transient pins to drain; TimedOut (naming the page) if it cannot.
+  Status DropForReset(PageId pid);
+
   /// Per-record reset of a multi-TC page against its stable version
   /// (§6.1.2). Caller holds the exclusive latch. Returns false if the
   /// merge could not be performed (caller escalates).
@@ -319,7 +323,9 @@ class DataComponent : public DcService {
   void PruneReplies(TcId tc, Lsn lwm);
 
   // Conflict sentinel.
-  bool EnterSentinel(const OperationRequest& req, bool* duplicate_in_flight);
+  /// False when another op holds the key; *holder then names it.
+  bool EnterSentinel(const OperationRequest& req,
+                     std::pair<TcId, Lsn>* holder);
   void ExitSentinel(const OperationRequest& req);
 
   StableStore* store_;
@@ -342,6 +348,18 @@ class DataComponent : public DcService {
   /// Ends an operation counted in active_ops_, waking a crash that is
   /// waiting for the count to drain.
   void EndOp();
+
+  /// Counts one operation in active_ops_ for its lifetime. Count first,
+  /// then check crashed_: Crash() sets crashed_ before it waits for the
+  /// count, so either the crash waits for this operation or the
+  /// operation sees the crash.
+  struct ActiveOp {
+    explicit ActiveOp(DataComponent* dc) : dc(dc) {
+      dc->active_ops_.fetch_add(1);
+    }
+    ~ActiveOp() { dc->EndOp(); }
+    DataComponent* dc;
+  };
 
   std::atomic<bool> crashed_{false};
   std::atomic<int> active_ops_{0};

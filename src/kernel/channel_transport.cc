@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/thread_name.h"
+
 namespace untx {
 
 ChannelTransport::ChannelTransport(DataComponent* dc,
@@ -59,6 +61,7 @@ void ChannelTransport::Reply(MessageKind kind, const std::string& body) {
 }
 
 void ChannelTransport::ServerLoop() {
+  SetCurrentThreadName("chan-server");
   std::string wire;
   while (!stop_.load()) {
     if (!request_ch_.Receive(&wire, 20)) continue;
@@ -75,6 +78,7 @@ void ChannelTransport::ServerLoop() {
 }
 
 void ChannelTransport::DispatchLoop() {
+  SetCurrentThreadName("chan-dispatch");
   std::string wire;
   while (!stop_.load()) {
     if (!reply_ch_.Receive(&wire, 20)) continue;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/thread_name.h"
+
 namespace untx {
 
 OpCoalescer::OpCoalescer(CoalesceOptions options, FlushFn flush)
@@ -74,6 +76,7 @@ bool OpCoalescer::PendingAges(
 }
 
 void OpCoalescer::FlushLoop() {
+  SetCurrentThreadName("coalescer");
   // Safety net for queued ops whose caller never awaits: bounds the time
   // an op can sit in the coalescing buffer. Sleeps until a queue becomes
   // non-empty, then waits out the flush conditions — zero wakeups idle.

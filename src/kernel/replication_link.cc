@@ -5,6 +5,7 @@
 
 #include "dc/data_component.h"
 #include "dc/dc_redo_log.h"
+#include "util/thread_name.h"
 
 namespace untx {
 
@@ -30,6 +31,7 @@ void ReplicationLink::Stop() {
 }
 
 void ReplicationLink::Run() {
+  SetCurrentThreadName("repl-link");
   DcRedoLog* plog = primary_->redo_log();
   while (!stop_.load()) {
     const uint64_t from = replica_->redo_log()->end() + 1;

@@ -15,6 +15,7 @@
 
 #include "dc/dc_api.h"
 #include "net/frame.h"
+#include "util/thread_name.h"
 
 namespace untx {
 
@@ -54,6 +55,7 @@ void ReplicaClient::Stop() {
 }
 
 void ReplicaClient::Run() {
+  SetCurrentThreadName("replica-client");
   int backoff_ms = options_.reconnect_backoff_min_ms;
   std::mt19937 rng(options_.replica_id * 2654435761u + 17);
   // Sleeps in small slices so Stop() is never held up by a long backoff.

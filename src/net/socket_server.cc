@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -20,6 +21,7 @@
 #include "dc/dc_api.h"
 #include "kernel/dc_wire.h"
 #include "net/frame.h"
+#include "util/thread_name.h"
 
 namespace untx {
 namespace internal {
@@ -41,12 +43,16 @@ struct Session {
   std::mutex wmu;
   int fd = -1;
   bool alive = false;
-  bool want_write = false;
+  /// Set under wmu; the reactor's poll-set build reads it without.
+  std::atomic<bool> want_write{false};
   std::string out;
   size_t out_pos = 0;
   /// TC ids seen in this session's decoded requests — the eviction set
   /// when the session drops.
   std::set<TcId> tcs;
+  /// The TC most recently added to `tcs` (stored after the insert): a
+  /// request from it skips wmu and the set.
+  std::atomic<TcId> last_tc{kInvalidTcId};
   FrameReader reader;  // reactor-thread only
 
   // -- Replica subscription state (guarded by wmu) ------------------------
@@ -158,7 +164,8 @@ struct ServerImpl {
     }
     SetNonBlocking(wake_fds[0]);
     SetNonBlocking(wake_fds[1]);
-    pool = std::make_unique<ThreadPool>(std::max(1, options.workers));
+    pool = std::make_unique<ThreadPool>(std::max(1, options.workers),
+                                        "dc-worker");
     stop.store(false);
     reactor = std::thread([this] { Loop(); });
     return Status::OK();
@@ -209,6 +216,7 @@ struct ServerImpl {
   }
 
   void Loop() {
+    SetCurrentThreadName("dc-reactor");
     std::vector<pollfd> pfds;
     std::vector<std::shared_ptr<Session>> polled;
     while (!stop.load()) {
@@ -219,11 +227,7 @@ struct ServerImpl {
       {
         std::lock_guard<std::mutex> guard(sessions_mu);
         for (auto& s : sessions) {
-          short events = POLLIN;
-          {
-            std::lock_guard<std::mutex> wguard(s->wmu);
-            if (s->want_write) events |= POLLOUT;
-          }
+          const short events = s->want_write ? POLLIN | POLLOUT : POLLIN;
           pfds.push_back({s->fd, events, 0});
           polled.push_back(s);
         }
@@ -337,8 +341,10 @@ struct ServerImpl {
   }
 
   void NoteTc(const std::shared_ptr<Session>& s, TcId tc) {
+    if (s->last_tc.load(std::memory_order_acquire) == tc) return;
     std::lock_guard<std::mutex> guard(s->wmu);
     s->tcs.insert(tc);
+    s->last_tc.store(tc, std::memory_order_release);
   }
 
   void Reply(const std::shared_ptr<Session>& s, MessageKind kind,
@@ -431,6 +437,7 @@ struct ServerImpl {
   /// (the ack handler opens the window). Exits when the session dies or
   /// the server stops.
   void ShipLoop(const std::shared_ptr<Session>& s) {
+    SetCurrentThreadName("dc-shipper");
     while (true) {
       uint64_t from = 0;
       {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "net/frame.h"
+#include "util/thread_name.h"
 
 namespace untx {
 namespace internal {
@@ -46,7 +48,8 @@ bool ResolveV4(const std::string& host, uint16_t port, sockaddr_in* out) {
 /// One TCP connection with reconnect state. fds are opened and closed
 /// ONLY on the reactor thread; caller threads write to an open fd under
 /// send_mu (the reactor also closes under send_mu, so a held lock
-/// guarantees the fd stays valid).
+/// guarantees the fd stays valid). Because only the reactor changes
+/// `fd_` and `state_`, the reactor reads them without the lock.
 class SocketConnection {
  public:
   enum class State : uint8_t {
@@ -133,11 +136,13 @@ class SocketConnection {
   const std::weak_ptr<SocketReactor> reactor_;  // woken on buffered sends
 
   std::mutex send_mu_;
-  int fd_ = -1;  // valid only while send_mu_ held (or on reactor thread)
+  int fd_ = -1;  // reactor-owned: see the class comment
   State state_ = State::kDisconnected;
   std::string out_;     // unsent bytes, drained on POLLOUT
   size_t out_pos_ = 0;
-  bool want_write_ = false;
+  /// Written under send_mu_; the reactor's poll-set build reads it
+  /// without the lock.
+  std::atomic<bool> want_write_{false};
 
   // Reactor-thread-only reconnect bookkeeping.
   Clock::time_point next_attempt_{};
@@ -252,8 +257,8 @@ bool SocketConnection::Send(const std::string& frame) {
       out_.clear();
       out_pos_ = 0;
     } else {
-      need_wake = !want_write_;  // reactor must add POLLOUT for this fd
-      want_write_ = true;
+      // The reactor must add POLLOUT for this fd.
+      need_wake = !want_write_.exchange(true);
     }
   }
   // The reactor may be mid-poll without POLLOUT armed; kick it out so
@@ -292,6 +297,7 @@ void SocketConnection::CloseLocked() {
 }
 
 void SocketReactor::Loop() {
+  SetCurrentThreadName("tc-reactor");
   {
     std::lock_guard<std::mutex> guard(pipe_mu_);
     if (pipe(wake_pipe_) != 0) {
@@ -313,10 +319,8 @@ void SocketReactor::Loop() {
     const auto now = Clock::now();
     for (auto& c : snapshot) {
       if (c->stopped_) continue;
-      std::unique_lock<std::mutex> lock(c->send_mu_);
       if (c->state_ == SocketConnection::State::kDisconnected &&
           now >= c->next_attempt_) {
-        lock.unlock();
         StartConnect(c.get());
       }
     }
@@ -331,9 +335,7 @@ void SocketReactor::Loop() {
       }
     }
     for (auto& c : snapshot) {
-      if (c->stopped_) continue;
-      std::lock_guard<std::mutex> guard(c->send_mu_);
-      if (c->fd_ < 0) continue;
+      if (c->stopped_ || c->fd_ < 0) continue;
       short events = 0;
       if (c->state_ == SocketConnection::State::kConnecting) {
         events = POLLOUT;
@@ -477,17 +479,14 @@ void SocketReactor::Disconnect(SocketConnection* c) {
 void SocketReactor::ReadReady(const std::shared_ptr<SocketConnection>& c) {
   // Frames are decoded and dispatched OUTSIDE the send lock: handlers
   // take TC locks and may trigger sends from other threads.
+  if (c->fd_ < 0 || c->state_ != SocketConnection::State::kConnected) {
+    return;
+  }
   char buf[64 * 1024];
   bool drop = false;
   for (;;) {
-    ssize_t n;
-    {
-      std::lock_guard<std::mutex> guard(c->send_mu_);
-      if (c->fd_ < 0 || c->state_ != SocketConnection::State::kConnected) {
-        return;
-      }
-      n = read(c->fd_, buf, sizeof(buf));
-    }
+    // No lock: only this thread closes the fd.
+    const ssize_t n = read(c->fd_, buf, sizeof(buf));
     if (n > 0) {
       c->reader_.Feed(buf, static_cast<size_t>(n));
       if (static_cast<size_t>(n) < sizeof(buf)) break;

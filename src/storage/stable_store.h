@@ -9,6 +9,7 @@
 // fault-injection knobs let tests exercise I/O failures and torn writes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -56,9 +57,12 @@ class StableStore {
   void Free(PageId pid);
 
   /// Durably writes page_size bytes; stamps the CRC into bytes [0,4).
+  /// The CRC is computed before the store's lock is taken.
   Status Write(PageId pid, const char* data);
 
-  /// Reads page_size bytes into out; verifies CRC.
+  /// Reads page_size bytes into out; verifies the CRC on the copy, after
+  /// the store's lock is released. A mismatch returns Corruption (out
+  /// then holds the bad bytes).
   Status Read(PageId pid, char* out) const;
 
   bool Exists(PageId pid) const;
@@ -72,8 +76,8 @@ class StableStore {
   void Reset();
 
   // Stats.
-  uint64_t reads() const { return reads_; }
-  uint64_t writes() const { return writes_; }
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+  uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
   uint64_t allocated_high_water() const;
 
   /// Number of live (written, non-free) pages.
@@ -92,8 +96,8 @@ class StableStore {
   std::vector<PageId> free_list_;
   std::unordered_set<PageId> free_set_;
   PageId next_page_id_ = 1;
-  mutable uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
+  mutable std::atomic<uint64_t> reads_{0};
+  std::atomic<uint64_t> writes_{0};
   mutable Random fault_rng_;
 };
 

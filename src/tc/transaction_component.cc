@@ -78,10 +78,10 @@ Status TransactionComponent::Start() {
   if (options_.start_daemons) {
     control_daemon_.Start(
         std::chrono::milliseconds(options_.control_interval_ms),
-        [this] { PushControls(); });
+        [this] { PushControls(); }, "tc-control");
     resend_daemon_.Start(
         std::chrono::milliseconds(options_.resend_interval_ms),
-        [this] { ResendPass(); });
+        [this] { ResendPass(); }, "tc-resend");
     if (options_.group_commit) {
       // Committers Poke() the forcer on demand, so commit latency tracks
       // the force cost — not this interval. The periodic tick is only
@@ -95,7 +95,8 @@ Status TransactionComponent::Start() {
               std::max(1000u, options_.group_commit_interval_us)),
           [this] {
             if (!crashed_.load()) log_.Force();
-          });
+          },
+          "tc-group-commit");
     }
   }
   return Status::OK();

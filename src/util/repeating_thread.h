@@ -9,6 +9,8 @@
 #include <mutex>
 #include <thread>
 
+#include "util/thread_name.h"
+
 namespace untx {
 
 class RepeatingThread {
@@ -22,7 +24,9 @@ class RepeatingThread {
 
   /// Interval is microsecond-granular: sub-millisecond cadences (e.g. a
   /// group-commit window of 200µs) must not silently round up to 1ms.
-  void Start(std::chrono::microseconds interval, std::function<void()> fn) {
+  /// `name` labels the thread for profilers (15 characters at most).
+  void Start(std::chrono::microseconds interval, std::function<void()> fn,
+             const char* name = "untx-repeat") {
     Stop();
     {
       std::lock_guard<std::mutex> guard(mu_);
@@ -30,7 +34,10 @@ class RepeatingThread {
     }
     interval_ = interval;
     fn_ = std::move(fn);
-    thread_ = std::thread([this] { Loop(); });
+    thread_ = std::thread([this, name] {
+      SetCurrentThreadName(name);
+      Loop();
+    });
   }
 
   /// Wakes the thread to run the callback now (e.g. force a resend pass).

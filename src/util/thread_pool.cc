@@ -1,12 +1,17 @@
 #include "util/thread_pool.h"
 
+#include "util/thread_name.h"
+
 namespace untx {
 
-ThreadPool::ThreadPool(int num_threads) {
+ThreadPool::ThreadPool(int num_threads, const char* name) {
   if (num_threads < 1) num_threads = 1;
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, name] {
+      SetCurrentThreadName(name);
+      WorkerLoop();
+    });
   }
 }
 

@@ -12,7 +12,8 @@ namespace untx {
 
 class ThreadPool {
  public:
-  explicit ThreadPool(int num_threads);
+  /// `name` labels the workers for profilers (15 characters at most).
+  explicit ThreadPool(int num_threads, const char* name = "untx-pool");
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 
@@ -332,6 +336,72 @@ TEST_F(DataComponentTest, ConflictSentinelDetectsTcBug) {
             0);
 }
 
+// A channel duplicate of an acked write can arrive after LWM pruning has
+// dropped its cached reply; it then enters the conflict sentinel like a
+// live op. A live write on the same key that meets it there, or that it
+// meets, must wait it out instead of being refused as a TC contract
+// violation. The test holds the key's page latch so that whichever op
+// goes first stays in the sentinel while the other arrives.
+TEST_F(DataComponentTest, PrunedDuplicateIsNotAConflict) {
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, "hot", "v0").status.ok());
+  std::vector<Lsn> acked;
+  for (int i = 0; i < 4; ++i) {
+    auto r = tc_->Op(OpType::kUpdate, "hot", "old");
+    ASSERT_TRUE(r.status.ok());
+    acked.push_back(r.lsn);
+  }
+  tc_->PushDurability();  // the LWM covers them all: replies pruned
+  std::string last;
+  for (int round = 0; round < 4; ++round) {
+    const bool duplicate_first = round % 2 == 0;
+    std::vector<Frame*> latched;
+    for (PageId pid : dc_->pool()->CachedPages()) {
+      Frame* frame = nullptr;
+      ASSERT_TRUE(dc_->pool()->Fetch(pid, &frame).ok());
+      frame->latch.LockExclusive();
+      latched.push_back(frame);
+    }
+    OperationReply duplicate;
+    OperationReply live;
+    last = "live" + std::to_string(round);
+    const OperationRequest live_req = [&] {
+      OperationRequest req;
+      req.tc_id = tc_->tc();
+      req.lsn = tc_->NextLsn();
+      req.op = OpType::kUpdate;
+      req.table_id = kTable;
+      req.key = "hot";
+      req.value = last;
+      return req;
+    }();
+    std::function<void()> send_duplicate = [&] {
+      duplicate = tc_->Resend(OpType::kUpdate, acked[round], "hot", "old");
+    };
+    std::function<void()> send_live = [&] {
+      live = dc_->Perform(live_req);
+    };
+    // The first op enters the sentinel and waits on the latch; the
+    // second arrives while it is there.
+    std::thread first(duplicate_first ? send_duplicate : send_live);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::thread second(duplicate_first ? send_live : send_duplicate);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    for (Frame* frame : latched) {
+      frame->latch.UnlockExclusive();
+      dc_->pool()->Unpin(frame);
+    }
+    first.join();
+    second.join();
+    EXPECT_TRUE(live.status.ok())
+        << "round " << round << ": " << live.status.ToString();
+    EXPECT_TRUE(duplicate.status.ok())
+        << "round " << round << ": " << duplicate.status.ToString();
+    EXPECT_TRUE(duplicate.was_duplicate) << "round " << round;
+  }
+  EXPECT_EQ(dc_->stats().conflicts_detected.load(), 0u);
+  EXPECT_EQ(tc_->Read("hot").value, last) << "a duplicate re-executed";
+}
+
 TEST_F(DataComponentTest, FlushRequiresEosl) {
   ASSERT_TRUE(tc_->Op(OpType::kInsert, "k", "v").status.ok());
   // Without EOSL the page reflects ops beyond the stable TC log: the
@@ -355,6 +425,27 @@ TEST_F(DataComponentTest, CheckpointFlushesOpsBelowRssp) {
   ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
   // All data pages with ops below the new RSSP are stable now.
   EXPECT_EQ(dc_->pool()->MinDirtyFirstOpLsn(), kMaxLsn);
+}
+
+// A checkpoint holds pinned frames while it waits for pages to become
+// flushable; a crash must wait for it rather than clear the pool under
+// it, and the checkpoint must then report the crash, not success.
+TEST_F(DataComponentTest, CrashWaitsForInFlightCheckpoint) {
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, "k", "v").status.ok());
+  // No EOSL was pushed, so the page cannot be flushed: the checkpoint
+  // keeps retrying until something ends it.
+  ControlReply checkpoint;
+  std::thread checkpointer([&] {
+    ControlRequest req;
+    req.type = ControlType::kCheckpoint;
+    req.tc_id = tc_->tc();
+    req.lsn = tc_->last_lsn() + 1;
+    checkpoint = dc_->Control(req);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  dc_->Crash();
+  checkpointer.join();
+  EXPECT_TRUE(checkpoint.status.IsCrashed()) << checkpoint.status.ToString();
 }
 
 TEST_F(DataComponentTest, CrashLosesCacheRecoverRestoresFromStable) {
@@ -586,6 +677,45 @@ TEST_F(DataComponentTest, ResetDropsPagesWithLostOps) {
   EXPECT_TRUE(tc_->Read("lost-key").status.IsNotFound());
   EXPECT_EQ(tc_->Read("stable-key").value, "sv");
   EXPECT_GT(dc_->stats().pages_reset_dropped.load(), 0u);
+}
+
+// A page the reset must drop but cannot, because something holds its
+// frame pinned past the wait, fails the reset loudly; once the pin is
+// gone a new reset completes. A pin released within the wait does not
+// fail the reset.
+TEST_F(DataComponentTest, ResetFailsOnPageThatStaysPinned) {
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, "stable-key", "sv").status.ok());
+  tc_->PushDurability();
+  ASSERT_EQ(dc_->pool()->FlushAllEligible(), 0u);
+  const Lsn stable_end = tc_->last_lsn();
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, "lost-key", "lv").status.ok());
+
+  // The injected long pin: every cached frame, the lost op's leaf too.
+  std::vector<Frame*> pinned;
+  for (PageId pid : dc_->pool()->CachedPages()) {
+    Frame* frame = nullptr;
+    ASSERT_TRUE(dc_->pool()->Fetch(pid, &frame).ok());
+    pinned.push_back(frame);
+  }
+  ControlRequest reset;
+  reset.type = ControlType::kRestartBegin;
+  reset.tc_id = tc_->tc();
+  reset.lsn = stable_end;
+  auto failed = dc_->Control(reset);
+  EXPECT_TRUE(failed.status.IsTimedOut()) << failed.status.ToString();
+  EXPECT_NE(failed.status.ToString().find("pinned page"), std::string::npos)
+      << failed.status.ToString();
+
+  // Pinned again, but released well within the wait.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    for (Frame* frame : pinned) dc_->pool()->Unpin(frame);
+  });
+  auto ok = dc_->Control(reset);
+  releaser.join();
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  EXPECT_TRUE(tc_->Read("lost-key").status.IsNotFound());
+  EXPECT_EQ(tc_->Read("stable-key").value, "sv");
 }
 
 TEST_F(DataComponentTest, ResetKeepsPagesWithoutLostOps) {
