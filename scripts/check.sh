@@ -10,8 +10,9 @@
 #   --socket  ASan+UBSan build of just the real-network arm: the frame
 #             codec, the shared TC:DC message server and wire client
 #             (dc_wire_test), the loopback-TCP cluster tests, the
-#             redo-shipping / failover suite (dc_replication_test), and the
-#             separate-process daemons (untx_tcd/untx_dcd SIGKILL'd,
+#             redo-shipping / failover suites (dc_replication_test, and
+#             redo_shipper_test with its in-process socket standby), and
+#             the separate-process daemons (untx_tcd/untx_dcd SIGKILL'd,
 #             promoted and recovered by process_cluster_test).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,7 +26,7 @@ if [[ "${1:-}" == "--socket" ]]; then
   SAN="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   CXX_FLAGS="$CXX_FLAGS $SAN"
   LINK_FLAGS="$SAN"
-  CTEST_FILTER=(-R 'frame_codec_test|dc_wire_test|socket_transport_test|process_cluster_test|dc_replication_test')
+  CTEST_FILTER=(-R 'frame_codec_test|dc_wire_test|socket_transport_test|process_cluster_test|dc_replication_test|redo_shipper_test')
 elif [[ "${1:-}" == "--asan" ]]; then
   shift
   BUILD_DIR="${BUILD_DIR:-build-asan}"

@@ -17,7 +17,7 @@
 #
 # Every thread is sampled on its own CPU clock, so a share is a share of
 # the CPU the process burnt, not of wall time. The kernel's long-lived
-# threads are named (tc-reactor, dc-worker, coalescer, repl-link, ...),
+# threads are named (tc-reactor, dc-worker, coalescer, dc-shipper, ...),
 # so the per-thread table shows which layer burns it. Build the profiled
 # binary with -g for file:line and inlined frames, e.g. for the benchmark
 # (its three set-ups and warm-up take about 19 s on a 4-core host):

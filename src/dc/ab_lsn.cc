@@ -55,7 +55,8 @@ bool AbstractLsn::DecodeFrom(Slice* input, AbstractLsn* out) {
   if (!GetVarint32(input, &n)) return false;
   out->lw_ = lw;
   out->in_.clear();
-  out->in_.reserve(n);
+  // Capped: a count from the input never sizes more than it holds.
+  out->in_.reserve(std::min<size_t>(n, input->size()));
   Lsn prev = lw;
   for (uint32_t i = 0; i < n; ++i) {
     uint64_t delta;

@@ -238,7 +238,9 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
     // --recover restart) only ever misses ops the TC still counts as
     // in-flight and will resend.
     MaybeAppendRedo(req, &reply, record_redo, defer_redo_force);
-    CacheReply(reply);
+    // A duplicate the page abLSN answered stays out of the cache: LWM
+    // pruning already dropped its reply, and the abLSN answers it again.
+    if (!reply.was_duplicate) CacheReply(reply);
   }
   return reply;
 }

@@ -87,7 +87,9 @@ bool OperationReply::DecodeFrom(Slice* input, OperationReply* out) {
   uint32_t nkeys;
   if (!GetVarint32(input, &nkeys)) return false;
   out->keys.clear();
-  out->keys.reserve(nkeys);
+  // Every element takes at least one byte: a count from the wire sizes a
+  // reservation only as far as the input could back it.
+  out->keys.reserve(std::min<size_t>(nkeys, input->size()));
   for (uint32_t i = 0; i < nkeys; ++i) {
     Slice k;
     if (!GetLengthPrefixedSlice(input, &k)) return false;
@@ -96,7 +98,7 @@ bool OperationReply::DecodeFrom(Slice* input, OperationReply* out) {
   uint32_t nvalues;
   if (!GetVarint32(input, &nvalues)) return false;
   out->values.clear();
-  out->values.reserve(nvalues);
+  out->values.reserve(std::min<size_t>(nvalues, input->size()));
   for (uint32_t i = 0; i < nvalues; ++i) {
     Slice v;
     if (!GetLengthPrefixedSlice(input, &v)) return false;
@@ -121,7 +123,7 @@ bool OperationBatch::DecodeFrom(Slice* input, OperationBatch* out) {
   uint32_t n;
   if (!GetVarint32(input, &n)) return false;
   out->ops.clear();
-  out->ops.reserve(n);
+  out->ops.reserve(std::min<size_t>(n, input->size()));
   for (uint32_t i = 0; i < n; ++i) {
     OperationRequest op;
     if (!OperationRequest::DecodeFrom(input, &op)) return false;
@@ -139,7 +141,7 @@ bool OperationBatchReply::DecodeFrom(Slice* input, OperationBatchReply* out) {
   uint32_t n;
   if (!GetVarint32(input, &n)) return false;
   out->replies.clear();
-  out->replies.reserve(n);
+  out->replies.reserve(std::min<size_t>(n, input->size()));
   for (uint32_t i = 0; i < n; ++i) {
     OperationReply reply;
     if (!OperationReply::DecodeFrom(input, &reply)) return false;
@@ -234,7 +236,7 @@ bool ScanStreamChunk::DecodeFrom(Slice* input, ScanStreamChunk* out) {
   uint32_t nkeys;
   if (!GetVarint32(input, &nkeys)) return false;
   out->keys.clear();
-  out->keys.reserve(nkeys);
+  out->keys.reserve(std::min<size_t>(nkeys, input->size()));
   for (uint32_t i = 0; i < nkeys; ++i) {
     Slice k;
     if (!GetLengthPrefixedSlice(input, &k)) return false;
@@ -243,7 +245,7 @@ bool ScanStreamChunk::DecodeFrom(Slice* input, ScanStreamChunk* out) {
   uint32_t nvalues;
   if (!GetVarint32(input, &nvalues)) return false;
   out->values.clear();
-  out->values.reserve(nvalues);
+  out->values.reserve(std::min<size_t>(nvalues, input->size()));
   for (uint32_t i = 0; i < nvalues; ++i) {
     Slice v;
     if (!GetLengthPrefixedSlice(input, &v)) return false;
@@ -255,7 +257,7 @@ bool ScanStreamChunk::DecodeFrom(Slice* input, ScanStreamChunk* out) {
   uint32_t ninvisible;
   if (!GetVarint32(input, &ninvisible)) return false;
   out->invisible.clear();
-  out->invisible.reserve(ninvisible);
+  out->invisible.reserve(std::min<size_t>(ninvisible, input->size()));
   for (uint32_t i = 0; i < ninvisible; ++i) {
     uint32_t idx;
     if (!GetVarint32(input, &idx)) return false;

@@ -342,7 +342,8 @@ bool ReplicaEntriesMessage::DecodeFrom(Slice* input,
     return false;
   }
   out->entries.clear();
-  out->entries.reserve(n);
+  // Capped: a count from the input never sizes more than it holds.
+  out->entries.reserve(std::min<size_t>(n, input->size()));
   for (uint32_t i = 0; i < n; ++i) {
     RedoEntry e;
     if (!RedoEntry::DecodeFrom(input, &e)) return false;

@@ -102,7 +102,6 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::Open(ClusterOptions options) {
   if (options.replicas_per_dc > 0) options.dc.redo_log_enabled = true;
 
   auto cluster = std::unique_ptr<Cluster>(new Cluster());
-  cluster->options_ = options;
 
   for (int d = 0; d < options.num_dcs; ++d) {
     cluster->stores_.push_back(std::make_unique<StableStore>(options.store));
@@ -133,12 +132,8 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::Open(ClusterOptions options) {
         Status s = rep->Initialize();
         if (!s.ok()) return s;
         rep->StartAsReplica();
-        ReplicationLinkOptions link = options.replication;
-        link.replica_id = cluster->next_replica_id_++;
-        cluster->links_[d].push_back(std::make_unique<ReplicationLink>(
-            cluster->dcs_[d].get(), rep.get(), link));
+        cluster->AttachStandby(d, rep.get());
         cluster->replicas_[d].push_back(std::move(rep));
-        cluster->links_[d].back()->Start();
       }
     }
   }
@@ -363,7 +358,7 @@ Status Cluster::FailoverDc(int d) {
   // A planned drill may target a live primary; kill it first so the slot
   // swap below is the only transition the TCs observe.
   if (!dcs_[d]->crashed()) CrashDc(d);
-  // Quiesce shipping before the slots move underneath the link threads.
+  // Quiesce shipping before the slots move underneath the shippers.
   links_[d].clear();
   // Most-caught-up live standby wins.
   int best = -1;
@@ -392,14 +387,8 @@ Status Cluster::FailoverDc(int d) {
   }
   // Remaining live standbys re-subscribe to the new primary (fresh
   // replica ids; their acked positions restart from their own log ends).
-  for (int r = 0; r < static_cast<int>(replicas_[d].size()); ++r) {
-    DataComponent* rep = replicas_[d][r].get();
-    if (rep->crashed()) continue;
-    ReplicationLinkOptions link = options_.replication;
-    link.replica_id = next_replica_id_++;
-    links_[d].push_back(
-        std::make_unique<ReplicationLink>(dcs_[d].get(), rep, link));
-    links_[d].back()->Start();
+  for (auto& rep : replicas_[d]) {
+    if (!rep->crashed()) AttachStandby(d, rep.get());
   }
   // Suffix resend: OnDcRestart probes the promoted DC's redo end, so each
   // TC re-drives only ops the standby had not yet applied — with a
@@ -423,16 +412,15 @@ Status Cluster::RejoinReplica(int d, int r) {
   if (!rep->crashed()) {
     return Status::InvalidArgument("replica is live; nothing to rejoin");
   }
-  // Tear down any stale link to this replica FIRST: its shipper must not
-  // race the truncation below, and its ack-map entry would otherwise
-  // clamp the primary's checkpoints (and pin MaxReplicaLag) forever.
-  for (auto it = links_[d].begin(); it != links_[d].end();) {
-    if ((*it)->replica() == rep) {
-      it = links_[d].erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Tear down any stale shipper to this replica FIRST: it must not race
+  // the truncation below, and its ack-map entry would otherwise clamp
+  // the primary's checkpoints (and pin MaxReplicaLag) forever.
+  auto& links = links_[d];
+  links.erase(std::remove_if(links.begin(), links.end(),
+                             [rep](const std::unique_ptr<StandbyLink>& l) {
+                               return l->replica == rep;
+                             }),
+              links.end());
   rep->Restore();
   // Same phase 1 as any DC revival: well-formed search structures first.
   Status rs = rep->Recover();
@@ -443,15 +431,28 @@ Status Cluster::RejoinReplica(int d, int r) {
   Status s = rep->RejoinAsReplica(dcs_[d]->promotion_base());
   if (!s.ok()) return s;
   // Its own retained log brings the restored pages forward to the fence;
-  // the link below ships everything past it.
+  // the shipper below ships everything past it.
   s = rep->RecoverFromLocalLog();
   if (!s.ok()) return s;
-  ReplicationLinkOptions link = options_.replication;
-  link.replica_id = next_replica_id_++;
-  links_[d].push_back(
-      std::make_unique<ReplicationLink>(dcs_[d].get(), rep, link));
-  links_[d].back()->Start();
+  AttachStandby(d, rep);
   return Status::OK();
+}
+
+Cluster::StandbyLink::StandbyLink(DataComponent* primary,
+                                  DataComponent* replica,
+                                  uint32_t replica_id)
+    : replica(replica),
+      shipper(primary, replica_id,
+              [this, replica_id](const ReplicaEntriesMessage& msg) {
+                shipper.OnAck(
+                    ApplyShippedBatch(this->replica, replica_id, msg)
+                        .acked_rlsn);
+              }) {}
+
+void Cluster::AttachStandby(int d, DataComponent* replica) {
+  links_[d].push_back(std::make_unique<StandbyLink>(
+      dcs_[d].get(), replica, next_replica_id_++));
+  links_[d].back()->shipper.Start(replica->redo_log()->end());
 }
 
 void Cluster::CrashTc(int t) {

@@ -30,7 +30,7 @@
 #include "common/status_or.h"
 #include "dc/data_component.h"
 #include "kernel/channel_transport.h"
-#include "kernel/replication_link.h"
+#include "kernel/redo_shipper.h"
 #include "storage/stable_store.h"
 #include "tc/dc_client.h"
 #include "tc/transaction_component.h"
@@ -141,11 +141,9 @@ struct ClusterOptions {
   /// Hot standbys per DC (PR 8). > 0 turns on the DC redo log for every
   /// primary and replica, builds `replicas_per_dc` replica DCs (own
   /// StableStore each) behind each primary, and ships the primary's
-  /// redo log to them continuously over ReplicationLinks. FailoverDc
-  /// promotes the most-caught-up standby when a primary dies.
+  /// redo log to them continuously, one in-process RedoShipper each.
+  /// FailoverDc promotes the most-caught-up standby when a primary dies.
   int replicas_per_dc = 0;
-  /// Shipping knobs of the in-process links (batch size, poll cadence).
-  ReplicationLinkOptions replication;
 };
 
 class Cluster {
@@ -277,7 +275,19 @@ class Cluster {
  private:
   Cluster() = default;
 
-  ClusterOptions options_;
+  /// The in-process carrier: the shipper's `send` applies each batch at
+  /// `replica` and hands the ack straight back to the shipper.
+  struct StandbyLink {
+    StandbyLink(DataComponent* primary, DataComponent* replica,
+                uint32_t replica_id);
+    DataComponent* replica;
+    RedoShipper shipper;
+  };
+
+  /// Starts shipping DC d's redo log to `replica` under a fresh replica
+  /// id, from the replica's own log end.
+  void AttachStandby(int d, DataComponent* replica);
+
   std::vector<std::unique_ptr<StableStore>> stores_;
   std::vector<std::unique_ptr<DataComponent>> dcs_;
   /// Loopback TCP servers for socket bindings (one per DC, all TC
@@ -294,11 +304,11 @@ class Cluster {
   // -- Replication state (PR 8), indexed by primary slot d -------------------
   std::vector<std::vector<std::unique_ptr<StableStore>>> replica_stores_;
   std::vector<std::vector<std::unique_ptr<DataComponent>>> replicas_;
-  std::vector<std::vector<std::unique_ptr<ReplicationLink>>> links_;
+  std::vector<std::vector<std::unique_ptr<StandbyLink>>> links_;
   /// Monotonic promotion fence per primary slot.
   std::vector<uint64_t> promotion_epochs_;
   /// Replica ids are unique across the cluster's lifetime so a rebuilt
-  /// link never aliases a stale ack entry.
+  /// shipper never aliases a stale ack entry.
   uint32_t next_replica_id_ = 1;
 };
 

@@ -14,6 +14,7 @@
 #include <random>
 
 #include "dc/dc_api.h"
+#include "kernel/redo_shipper.h"
 #include "net/frame.h"
 #include "util/thread_name.h"
 
@@ -21,8 +22,39 @@ namespace untx {
 
 namespace {
 
-/// Blocking full-buffer send; false on any hard error.
-bool SendAll(int fd, const std::string& wire) {
+/// Reconnect backoff: doubled per failed dial from min to max, with up
+/// to 50% random jitter so restarted standbys don't dial in step.
+constexpr int kBackoffMinMs = 50;
+constexpr int kBackoffMaxMs = 1000;
+
+/// Dials host:port; -1 on failure. The recv timeout is bounded so the
+/// reader keeps observing Stop().
+int Dial(const ReplicaClientOptions& options) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(options.port);
+  if (inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  timeval tv{};
+  tv.tv_usec = 100 * 1000;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+/// Frames `msg` and writes it whole (blocking); false on any hard error.
+template <typename Message>
+bool SendMessage(int fd, MessageKind kind, const Message& msg) {
+  std::string body;
+  msg.EncodeTo(&body);
+  std::string wire;
+  AppendFrame(static_cast<uint8_t>(kind), Slice(body), &wire);
   size_t pos = 0;
   while (pos < wire.size()) {
     ssize_t n =
@@ -56,7 +88,7 @@ void ReplicaClient::Stop() {
 
 void ReplicaClient::Run() {
   SetCurrentThreadName("replica-client");
-  int backoff_ms = options_.reconnect_backoff_min_ms;
+  int backoff_ms = kBackoffMinMs;
   std::mt19937 rng(options_.replica_id * 2654435761u + 17);
   // Sleeps in small slices so Stop() is never held up by a long backoff.
   auto interruptible_sleep = [&](int ms) {
@@ -67,54 +99,21 @@ void ReplicaClient::Run() {
     }
   };
   while (!stop_.load()) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      interruptible_sleep(backoff_ms);
-      continue;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.port);
-    bool dialed = inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) ==
-                      1 &&
-                  ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof(addr)) == 0;
-    if (!dialed) {
-      ::close(fd);
-      reconnects_.fetch_add(1);
-      // Jittered exponential backoff: up to +50% spread per dial.
-      int jitter = static_cast<int>(rng() % (backoff_ms / 2 + 1));
-      interruptible_sleep(backoff_ms + jitter);
-      backoff_ms =
-          std::min(backoff_ms * 2, options_.reconnect_backoff_max_ms);
-      continue;
-    }
-    int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    // Bounded recv so the loop keeps observing stop_.
-    timeval tv{};
-    tv.tv_usec = 100 * 1000;
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
     // Subscribe from our own durable position: whatever the wire lost
     // last session, this re-requests.
     ReplicaSubscribeRequest sub;
     sub.replica_id = options_.replica_id;
     sub.from_rlsn =
         (dc_->redo_log() != nullptr ? dc_->redo_log()->end() : 0) + 1;
-    std::string body;
-    sub.EncodeTo(&body);
-    std::string wire;
-    AppendFrame(static_cast<uint8_t>(MessageKind::kReplicaSubscribe),
-                Slice(body), &wire);
-    if (!SendAll(fd, wire)) {
-      ::close(fd);
-      reconnects_.fetch_add(1);
-      interruptible_sleep(backoff_ms);
+    const int fd = Dial(options_);
+    if (fd < 0 || !SendMessage(fd, MessageKind::kReplicaSubscribe, sub)) {
+      if (fd >= 0) ::close(fd);
+      int jitter = static_cast<int>(rng() % (backoff_ms / 2 + 1));
+      interruptible_sleep(backoff_ms + jitter);
+      backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
       continue;
     }
-    connected_.store(true);
-    backoff_ms = options_.reconnect_backoff_min_ms;
+    backoff_ms = kBackoffMinMs;
 
     FrameReader reader;
     char buf[64 * 1024];
@@ -130,40 +129,20 @@ void ReplicaClient::Run() {
       }
       reader.Feed(buf, static_cast<size_t>(n));
       uint8_t kind = 0;
-      std::string fbody;
-      while (reader.Next(&kind, &fbody) == FrameDecode::kOk) {
+      std::string body;
+      while (!dead && reader.Next(&kind, &body) == FrameDecode::kOk) {
         if (static_cast<MessageKind>(kind) != MessageKind::kReplicaEntries) {
           continue;  // confused peer; harmless
         }
-        Slice fb(fbody);
+        Slice in(body);
         ReplicaEntriesMessage msg;
-        if (!ReplicaEntriesMessage::DecodeFrom(&fb, &msg)) {
-          dead = true;
-          break;
-        }
-        Status s = dc_->ApplyReplicated(msg);
-        if (s.ok()) batches_applied_.fetch_add(1);
-        // Ack the TRUE log end either way: on failure the primary's
-        // stop-and-wait shipper rewinds to it and re-ships.
-        ReplicaAckMessage ack;
-        ack.replica_id = options_.replica_id;
-        ack.acked_rlsn =
-            dc_->redo_log() != nullptr ? dc_->redo_log()->end() : 0;
-        std::string ack_body;
-        ack.EncodeTo(&ack_body);
-        std::string ack_wire;
-        AppendFrame(static_cast<uint8_t>(MessageKind::kReplicaAck),
-                    Slice(ack_body), &ack_wire);
-        if (!SendAll(fd, ack_wire)) {
-          dead = true;
-          break;
-        }
+        dead = !ReplicaEntriesMessage::DecodeFrom(&in, &msg) ||
+               !SendMessage(fd, MessageKind::kReplicaAck,
+                            ApplyShippedBatch(dc_, options_.replica_id, msg));
       }
       if (reader.corrupt()) break;
     }
-    connected_.store(false);
     ::close(fd);
-    if (!stop_.load()) reconnects_.fetch_add(1);
   }
 }
 

@@ -1,12 +1,11 @@
-// ReplicaClient: the standby side of redo-log shipping over TCP — the
-// real-network analog of kernel/ReplicationLink. A replica untx_dcd
-// dials its primary's SocketServer, subscribes from its own redo end + 1
-// (kReplicaSubscribe), applies each kReplicaEntries batch through
-// DataComponent::ApplyReplicated, and acks its true log end after every
-// batch (success or failure — the primary's stop-and-wait shipper rewinds
-// to the latest ack). Disconnects self-heal: reconnect with jittered
-// exponential backoff and re-subscribe from wherever the replica's log
-// actually ends, so a batch lost on the wire is simply re-shipped.
+// ReplicaClient: the standby end of the socket carrier for redo
+// shipping (kernel/redo_shipper.h). A replica untx_dcd dials its
+// primary's SocketServer, subscribes from its own redo end + 1
+// (kReplicaSubscribe), and answers each kReplicaEntries batch with the
+// kReplicaAck that ApplyShippedBatch returns. Disconnects self-heal:
+// reconnect with jittered exponential backoff and re-subscribe from
+// wherever the replica's log actually ends, so a batch lost on the wire
+// is simply re-shipped.
 #pragma once
 
 #include <atomic>
@@ -23,10 +22,6 @@ struct ReplicaClientOptions {
   uint16_t port = 0;
   /// Identity at the primary's ack table; unique per standby.
   uint32_t replica_id = 1;
-  /// Reconnect backoff: doubled per failed dial from min to max, with
-  /// up to 50% random jitter so restarted standbys don't dial in step.
-  int reconnect_backoff_min_ms = 50;
-  int reconnect_backoff_max_ms = 1000;
 };
 
 /// Owns the dial/subscribe/apply/ack thread binding one replica DC to
@@ -42,19 +37,12 @@ class ReplicaClient {
   /// the primary dies with the TCP session (ForgetReplica there).
   void Stop();
 
-  bool connected() const { return connected_.load(); }
-  uint64_t batches_applied() const { return batches_applied_.load(); }
-  uint64_t reconnects() const { return reconnects_.load(); }
-
  private:
   void Run();
 
   DataComponent* dc_;
   ReplicaClientOptions options_;
   std::atomic<bool> stop_{true};
-  std::atomic<bool> connected_{false};
-  std::atomic<uint64_t> batches_applied_{0};
-  std::atomic<uint64_t> reconnects_{0};
   std::thread thread_;
 };
 

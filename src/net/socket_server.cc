@@ -12,14 +12,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "dc/dc_api.h"
 #include "kernel/dc_wire.h"
+#include "kernel/redo_shipper.h"
 #include "net/frame.h"
 #include "util/thread_name.h"
 
@@ -54,21 +53,11 @@ struct Session {
   /// request from it skips wmu and the set.
   std::atomic<TcId> last_tc{kInvalidTcId};
   FrameReader reader;  // reactor-thread only
-
-  // -- Replica subscription state (guarded by wmu) ------------------------
-  /// True once a kReplicaSubscribe frame arrived: this session is a
-  /// standby DC draining the redo log, not a TC.
-  bool is_replica = false;
-  uint32_t replica_id = 0;
-  /// Stop-and-wait shipping window: `ship_next` is the first unshipped
-  /// rlsn; a batch is in flight while acked + 1 < ship_next. Every ack
-  /// rewinds/advances ship_next to acked + 1 — correct because at most
-  /// one batch is ever outstanding.
-  uint64_t acked = 0;
-  uint64_t ship_next = 0;
-  std::condition_variable ship_cv;
-  /// Per-session shipping thread; joined by CloseSession / StopAll.
-  std::thread shipper;
+  /// Set once (under wmu) when a kReplicaSubscribe frame arrives: this
+  /// session is a standby DC draining the redo log, not a TC. Stopped by
+  /// CloseSession / StopAll; declared last so that, as a backstop, its
+  /// thread is joined before the members its sends use are destroyed.
+  std::unique_ptr<RedoShipper> shipper;
 
   /// Appends a frame and drains greedily; leftover bytes wait for
   /// POLLOUT. Returns bytes still buffered after the attempt (0 = all
@@ -105,8 +94,9 @@ struct Session {
 };
 
 struct ServerImpl {
-  /// Atomic: workers and shippers read it per frame; Retarget (failover)
-  /// swaps it while they run.
+  /// Atomic: workers read it per frame; Retarget (failover) swaps it
+  /// while they run. A replica session's shipper stays bound to the DC
+  /// that served its subscribe.
   std::atomic<DataComponent*> dc{nullptr};
   SocketServerOptions options;
 
@@ -187,17 +177,16 @@ struct ServerImpl {
       doomed.swap(sessions);
     }
     for (auto& s : doomed) {
-      std::thread shipper;
+      RedoShipper* shipper = nullptr;
       {
         std::lock_guard<std::mutex> guard(s->wmu);
         if (s->fd >= 0) ::close(s->fd);
         s->fd = -1;
         s->alive = false;
-        shipper = std::move(s->shipper);
-        s->ship_cv.notify_all();
+        shipper = s->shipper.get();
       }
-      // Outside wmu: the shipper locks it on its way out.
-      if (shipper.joinable()) shipper.join();
+      // Outside wmu: the shipper's sends lock it.
+      if (shipper != nullptr) shipper->Stop();
     }
     if (listen_fd >= 0) ::close(listen_fd);
     listen_fd = -1;
@@ -347,10 +336,9 @@ struct ServerImpl {
     s->last_tc.store(tc, std::memory_order_release);
   }
 
-  void Reply(const std::shared_ptr<Session>& s, MessageKind kind,
-             const std::string& body) {
+  void Reply(Session& s, MessageKind kind, const std::string& body) {
     bool ok = false;
-    size_t queued = s->SendFrame(static_cast<uint8_t>(kind), Slice(body), &ok);
+    size_t queued = s.SendFrame(static_cast<uint8_t>(kind), Slice(body), &ok);
     if (!ok) return;
     if (queued > 0) {
       Wake();  // reactor must start polling POLLOUT for this session
@@ -374,7 +362,7 @@ struct ServerImpl {
     if (ServeDcMessage(
             dc, kind, body,
             [this, &s](MessageKind reply_kind, const std::string& out) {
-              Reply(s, reply_kind, out);
+              Reply(*s, reply_kind, out);
             },
             [this, &s](TcId tc) { NoteTc(s, tc); })) {
       return;
@@ -384,91 +372,34 @@ struct ServerImpl {
         ReplicaSubscribeRequest req;
         if (!ReplicaSubscribeRequest::DecodeFrom(&body, &req)) return;
         if (dc->redo_log() == nullptr) return;  // no history to ship
-        {
-          std::lock_guard<std::mutex> guard(s->wmu);
-          // One subscription per session; a dead session spawns nothing
-          // (an unjoined thread in a destructing Session would terminate).
-          if (!s->alive || s->is_replica) return;
-          s->is_replica = true;
-          s->replica_id = req.replica_id;
-          s->acked = req.from_rlsn == 0 ? 0 : req.from_rlsn - 1;
-          s->ship_next = s->acked + 1;
-        }
-        dc->redo_log()->set_replication_enabled(true);
-        dc->redo_log()->RecordReplicaAck(req.replica_id,
-                                         req.from_rlsn == 0
-                                             ? 0
-                                             : req.from_rlsn - 1);
-        {
-          std::lock_guard<std::mutex> guard(s->wmu);
-          if (!s->alive) return;
-          s->shipper = std::thread([this, s] { ShipLoop(s); });
-        }
+        Session* raw = s.get();
+        std::lock_guard<std::mutex> guard(s->wmu);
+        // One subscription per session, and none on a closed one (its
+        // CloseSession has already run and would never stop it).
+        if (!s->alive || s->shipper != nullptr) return;
+        s->shipper = std::make_unique<RedoShipper>(
+            dc, req.replica_id, [this, raw](const ReplicaEntriesMessage& msg) {
+              std::string out;
+              msg.EncodeTo(&out);
+              Reply(*raw, MessageKind::kReplicaEntries, out);
+            });
+        s->shipper->Start(req.from_rlsn == 0 ? 0 : req.from_rlsn - 1);
         return;
       }
       case MessageKind::kReplicaAck: {
         ReplicaAckMessage msg;
         if (!ReplicaAckMessage::DecodeFrom(&body, &msg)) return;
-        uint32_t replica_id = 0;
+        RedoShipper* shipper = nullptr;
         {
           std::lock_guard<std::mutex> guard(s->wmu);
-          if (!s->is_replica) return;
-          replica_id = s->replica_id;
-          s->acked = msg.acked_rlsn;
-          // Stop-and-wait: at most one batch is in flight, so the
-          // replica's latest ack is always the right resume point — a
-          // rejected batch rewinds, an applied one advances.
-          s->ship_next = msg.acked_rlsn + 1;
-          s->ship_cv.notify_all();
+          shipper = s->shipper.get();
         }
-        if (dc->redo_log() != nullptr) {
-          dc->redo_log()->RecordReplicaAck(replica_id, msg.acked_rlsn);
-        }
+        if (shipper != nullptr) shipper->OnAck(msg.acked_rlsn);
         return;
       }
       default:
         // Reply kinds or undecodable requests: a confused peer. Ignore.
         return;
-    }
-  }
-
-  /// Per-replica-session shipping loop: drain the primary's durable redo
-  /// suffix toward the subscribed standby, one batch in flight at a time
-  /// (the ack handler opens the window). Exits when the session dies or
-  /// the server stops.
-  void ShipLoop(const std::shared_ptr<Session>& s) {
-    SetCurrentThreadName("dc-shipper");
-    while (true) {
-      uint64_t from = 0;
-      {
-        std::unique_lock<std::mutex> lk(s->wmu);
-        s->ship_cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
-          return !s->alive || stop.load() || s->acked + 1 >= s->ship_next;
-        });
-        if (!s->alive || stop.load()) return;
-        if (s->acked + 1 < s->ship_next) continue;  // batch still in flight
-        from = s->ship_next;
-      }
-      DcRedoLog* log = dc.load()->redo_log();
-      if (log == nullptr) return;
-      ReplicaEntriesMessage msg;
-      // Only durable entries ship: a standby must never apply an op the
-      // primary could forget in a crash.
-      uint64_t first = log->ReadFrom(from, 256, &msg.entries);
-      if (first == 0 || msg.entries.empty()) {
-        log->WaitDurable(from - 1, 50);
-        continue;
-      }
-      msg.from_rlsn = first;
-      msg.primary_end = log->end();
-      std::string out;
-      msg.EncodeTo(&out);
-      {
-        std::lock_guard<std::mutex> lk(s->wmu);
-        if (!s->alive) return;
-        s->ship_next = first + msg.entries.size();
-      }
-      Reply(s, MessageKind::kReplicaEntries, out);
     }
   }
 
@@ -479,9 +410,7 @@ struct ServerImpl {
   /// a reconnect race — the check keeps that case safe).
   void CloseSession(const std::shared_ptr<Session>& s) {
     std::set<TcId> served;
-    std::thread shipper;
-    bool was_replica = false;
-    uint32_t replica_id = 0;
+    RedoShipper* shipper = nullptr;
     {
       std::lock_guard<std::mutex> guard(s->wmu);
       if (!s->alive) return;
@@ -489,14 +418,12 @@ struct ServerImpl {
       if (s->fd >= 0) ::close(s->fd);
       s->fd = -1;
       served = s->tcs;
-      was_replica = s->is_replica;
-      replica_id = s->replica_id;
-      shipper = std::move(s->shipper);
-      s->ship_cv.notify_all();
+      shipper = s->shipper.get();
     }
-    // Outside wmu: the shipper locks it on its way out. Its waits are
-    // bounded (50ms cv / WaitDurable timeouts), so this join is too.
-    if (shipper.joinable()) shipper.join();
+    // Outside wmu: the shipper's sends lock it. Stopping also drops the
+    // standby from the ack map, so it stops holding back the TCs'
+    // checkpoint clamp; it re-registers when it re-subscribes.
+    if (shipper != nullptr) shipper->Stop();
     {
       std::lock_guard<std::mutex> guard(sessions_mu);
       sessions.erase(std::remove(sessions.begin(), sessions.end(), s),
@@ -508,11 +435,6 @@ struct ServerImpl {
     }
     DataComponent* d = dc.load();
     for (TcId tc : served) d->OnTcDisconnect(tc);
-    // A dropped standby stops holding back the TCs' checkpoint clamp; it
-    // re-registers (with its true position) when it re-subscribes.
-    if (was_replica && d->redo_log() != nullptr) {
-      d->redo_log()->ForgetReplica(replica_id);
-    }
   }
 };
 
@@ -544,7 +466,7 @@ size_t SocketServer::replica_session_count() const {
   size_t n = 0;
   for (const auto& s : impl_->sessions) {
     std::lock_guard<std::mutex> wguard(s->wmu);
-    if (s->is_replica) ++n;
+    if (s->shipper != nullptr) ++n;
   }
   return n;
 }

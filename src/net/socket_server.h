@@ -11,6 +11,10 @@
 // shutdown — the server evicts the DC-side scan cursors of the TCs that
 // session served (no other live session still serving them), exactly as
 // a TC reset would; the reply cache is kept for resend idempotence.
+//
+// A session that sends kReplicaSubscribe is a standby, not a TC: it gets
+// a RedoShipper (kernel/redo_shipper.h) whose carrier writes
+// kReplicaEntries frames to it and whose acks are its kReplicaAck frames.
 #pragma once
 
 #include <atomic>

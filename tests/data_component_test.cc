@@ -402,6 +402,31 @@ TEST_F(DataComponentTest, PrunedDuplicateIsNotAConflict) {
   EXPECT_EQ(tc_->Read("hot").value, last) << "a duplicate re-executed";
 }
 
+// A resend whose cached reply LWM pruning dropped is answered by the
+// page abLSN, every time: caching that answer would bring the pruned
+// reply back and send later copies down the reply-cache path instead.
+TEST_F(DataComponentTest, PrunedDuplicatesStayOutOfTheReplyCache) {
+  std::vector<Lsn> acked;
+  for (int i = 0; i < 10; ++i) {
+    auto r = tc_->Op(OpType::kInsert, Key(i), "v");
+    ASSERT_TRUE(r.status.ok());
+    acked.push_back(r.lsn);
+  }
+  tc_->PushDurability();  // the LWM covers them all: replies pruned
+  const uint64_t covered_before = dc_->stats().duplicate_hits.load();
+  constexpr int kCopies = 50;
+  for (int copy = 0; copy < kCopies; ++copy) {
+    for (int i = 0; i < 10; ++i) {
+      auto dup = tc_->Resend(OpType::kInsert, acked[i], Key(i), "v");
+      ASSERT_TRUE(dup.status.ok()) << dup.status.ToString();
+      EXPECT_TRUE(dup.was_duplicate);
+    }
+  }
+  EXPECT_EQ(dc_->stats().duplicate_hits.load() - covered_before,
+            static_cast<uint64_t>(kCopies) * acked.size());
+  EXPECT_EQ(dc_->stats().reply_cache_hits.load(), 0u);
+}
+
 TEST_F(DataComponentTest, FlushRequiresEosl) {
   ASSERT_TRUE(tc_->Op(OpType::kInsert, "k", "v").status.ok());
   // Without EOSL the page reflects ops beyond the stable TC log: the

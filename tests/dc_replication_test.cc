@@ -5,7 +5,7 @@
 //     rejection, overlap skip), Promote fencing, RejoinAsReplica
 //     truncation, RecoverFromLocalLog restoring pre-crash state from
 //     the DC's own disk files.
-//   * Cluster: replicas_per_dc standbys with live ReplicationLinks —
+//   * Cluster: replicas_per_dc standbys, each fed by a RedoShipper —
 //     ship → lag → crash primary → FailoverDc (suffix resend only) →
 //     RejoinReplica, diffed against a driver model, plus a replica
 //     crash mid-catch-up.
@@ -20,7 +20,7 @@
 
 #include "dc/data_component.h"
 #include "kernel/cluster.h"
-#include "kernel/replication_link.h"
+#include "kernel/redo_shipper.h"
 #include "storage/stable_store.h"
 
 namespace untx {

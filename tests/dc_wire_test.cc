@@ -1,15 +1,21 @@
 // The shared TC:DC wire endpoints (kernel/dc_wire.h) every carrier runs:
 // each TC request kind round-trips WireDcClient -> ServeDcMessage ->
 // WireDcClient::OnReply, a truncated body never reaches the DC or yields
-// a reply, and what a crashed DC produced never leaves the server.
+// a reply, a count the body cannot hold is rejected before anything is
+// sized by it, and what a crashed DC produced never leaves the server.
 #include "kernel/dc_wire.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/coding.h"
+#include "dc/ab_lsn.h"
+#include "dc/dc_redo_log.h"
 
 namespace untx {
 namespace {
@@ -238,6 +244,74 @@ TEST(DcWireTest, TruncatedBodiesProduceNothing) {
     }
     EXPECT_EQ(h.delivered, 0);
   }
+}
+
+template <typename Message>
+std::string Encoded(const Message& msg) {
+  std::string body;
+  msg.EncodeTo(&body);
+  return body;
+}
+
+template <typename Message>
+bool Decodes(const std::string& body) {
+  Slice input(body);
+  Message msg;
+  return Message::DecodeFrom(&input, &msg);
+}
+
+/// `body` with the count `count_from_end` bytes before its end replaced
+/// by UINT32_MAX and everything after that count cut: a length lie.
+std::string LieAbout(std::string body, size_t count_from_end) {
+  EXPECT_EQ(body[body.size() - count_from_end], '\0') << "not an empty count";
+  body.resize(body.size() - count_from_end);
+  PutVarint32(&body, UINT32_MAX);
+  return body;
+}
+
+TEST(DcWireTest, LengthLiesAreRejected) {
+  // Each body encodes empty lists only, so its counts are single zero
+  // bytes at known distances from the end.
+  struct Lie {
+    const char* name;
+    std::string body;
+    size_t count_from_end;
+    bool (*decodes)(const std::string&);
+  };
+  const std::vector<Lie> lies = {
+      {"batch ops", Encoded(OperationBatch{}), 1, &Decodes<OperationBatch>},
+      {"batch replies", Encoded(OperationBatchReply{}), 1,
+       &Decodes<OperationBatchReply>},
+      // keys, values, rlsn
+      {"reply keys", Encoded(OperationReply{}), 3, &Decodes<OperationReply>},
+      {"reply values", Encoded(OperationReply{}), 2,
+       &Decodes<OperationReply>},
+      // keys, values, next_key, invisible
+      {"chunk keys", Encoded(ScanStreamChunk{}), 4,
+       &Decodes<ScanStreamChunk>},
+      {"chunk values", Encoded(ScanStreamChunk{}), 3,
+       &Decodes<ScanStreamChunk>},
+      {"chunk invisible", Encoded(ScanStreamChunk{}), 1,
+       &Decodes<ScanStreamChunk>},
+      {"replica entries", Encoded(ReplicaEntriesMessage{}), 1,
+       &Decodes<ReplicaEntriesMessage>},
+      {"ablsn in-set", Encoded(AbstractLsn{}), 1, &Decodes<AbstractLsn>},
+  };
+  for (const Lie& lie : lies) {
+    SCOPED_TRACE(lie.name);
+    EXPECT_TRUE(lie.decodes(lie.body));
+    EXPECT_FALSE(lie.decodes(LieAbout(lie.body, lie.count_from_end)));
+  }
+
+  // The same lie through the server: no DC call, no reply.
+  FakeDc dc;
+  const std::string batch = LieAbout(Encoded(OperationBatch{}), 1);
+  EXPECT_EQ(batch, std::string("\xff\xff\xff\xff\x0f"));
+  EXPECT_FALSE(ServeDcMessage(&dc, MessageKind::kOperationBatch, batch,
+                              [](MessageKind, const std::string&) {
+                                ADD_FAILURE() << "replied to a lie";
+                              }));
+  EXPECT_EQ(dc.calls, 0);
 }
 
 TEST(DcWireTest, CrashedDcRepliesAreSuppressed) {
